@@ -135,11 +135,13 @@ type Config struct {
 	// tests); the flag exists for ablation benchmarks and as a field
 	// escape hatch.
 	DisableFloorCache bool
-	// DisablePooling turns off per-shard recycling of executions
-	// (System, threads, locations, actions, clock snapshots). Required
-	// by clients that retain *memmodel.Action or Action.Clock pointers
-	// across executions — with pooling on they are valid only within the
-	// execution that produced them. Results are identical either way.
+	// DisablePooling turns off per-worker recycling of executions
+	// (System with its Aux value, threads and their goroutines,
+	// locations, actions, clock snapshots). Required by clients that
+	// retain *memmodel.Action or Action.Clock pointers (or the spec
+	// layer's *core.Call) across executions — with pooling on they are
+	// valid only within the execution that produced them. Results are
+	// identical either way.
 	DisablePooling bool
 	// DisableLoadCompaction turns off the discarding of read-read
 	// coherence records that can never again raise a visibility floor.
@@ -158,7 +160,9 @@ type Config struct {
 	// compaction on small programs).
 	compactThreshold int
 	// OnRunStart runs at the start of every execution, before the root
-	// thread. It typically installs the spec monitor in sys.Aux.
+	// thread. It typically installs the spec monitor in sys.Aux. A pooled
+	// System still carries the Aux value of its worker's previous
+	// execution; the hook resets or replaces it.
 	OnRunStart func(sys *System)
 	// OnExecution runs after every feasible (completed) execution and
 	// returns any specification failures found in it.
@@ -938,12 +942,13 @@ func Explore(cfg Config, root func(*Thread)) *Result {
 	// Each branch of the root decision node is one shard — the same
 	// partition parallel DFS uses for its tasks, so shard-scoped state
 	// (spec caches) behaves identically in both modes. The execution pool
-	// is also shard-scoped only because a shard is single-threaded; its
-	// contents are mechanical, so carrying one pool across branches is
-	// equally sound — but keeping the scopes aligned keeps the
-	// sequential/parallel correspondence easy to reason about.
+	// is per worker, not per shard: its contents are mechanical (the spec
+	// monitor it carries is reset by every execution's Install), so one
+	// pool serves every branch, as it serves every task of a
+	// work-stealing worker.
 	scratch := c.newScratch()
 	pool := newExecPool(c)
+	defer pool.close()
 	branch := d.rootBranch()
 	for {
 		failed := runOne(c, res, d, root, scratch, pool)
@@ -1163,12 +1168,13 @@ func (s *System) reportStuck() {
 	s.aborted = true
 }
 
-// grant hands the baton to t and waits for it to park or finish.
-// reap collects every thread goroutine: blocked ones are poisoned (they
-// see aborted and unwind; draining suppresses their baton handoff), and
-// each goroutine's final parked send is consumed, so by the time reap
-// returns no goroutine of this execution is live — the precondition for
-// pooling the Thread structs.
+// reap collects every thread: blocked ones are poisoned (they see
+// aborted and unwind; draining suppresses their baton handoff), and each
+// thread's final parked send is consumed, so by the time reap returns no
+// goroutine runs this execution's code — a pooled slot's goroutine is
+// back at the head of threadLoop waiting for its next start grant, an
+// unpooled one is exiting. That is the precondition for recycling the
+// Thread structs.
 func (s *System) reap() {
 	s.draining = true
 	s.aborted = true

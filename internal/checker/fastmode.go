@@ -213,6 +213,7 @@ func exploreFast(c *Config, root func(*Thread)) *Result {
 func fastBlock(c *Config, res *Result, root func(*Thread), from, to int, deadline time.Time, b *bounds) {
 	ch := &fastChooser{disableRF: c.DisableStaleReads, stats: &res.Stats}
 	pool := newExecPool(c)
+	defer pool.close()
 	for i := from; i < to; i++ {
 		if b != nil && b.stopped() {
 			return

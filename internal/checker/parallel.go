@@ -190,6 +190,7 @@ func exploreRandomWalk(c *Config, root func(*Thread)) *Result {
 func walkBlock(c *Config, res *Result, root func(*Thread), from, to int, b *bounds) {
 	ch := &randChooser{disableRF: c.DisableStaleReads, stats: &res.Stats}
 	pool := newExecPool(c)
+	defer pool.close()
 	for i := from; i < to; i++ {
 		if b != nil && b.stopped() {
 			return

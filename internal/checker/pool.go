@@ -4,25 +4,28 @@ import (
 	"repro/internal/memmodel"
 )
 
-// execPool recycles the per-execution state of one exploration shard —
-// the System shell, thread structs, locations, actions, and clock
-// snapshots — so replaying millions of executions allocates (amortized)
-// nothing per execution instead of rebuilding everything from scratch.
+// execPool recycles the per-execution state of one exploration worker —
+// the System shell (with the Aux value its owner left on it, the spec
+// monitor), thread structs and their goroutines, locations, actions, and
+// clock snapshots — so replaying millions of executions allocates
+// (amortized) nothing per execution instead of rebuilding everything
+// from scratch.
 //
-// A pool is single-threaded: it belongs to exactly one shard (the unit
-// of single-threaded exploration — see Config.NewScratch), the same way
-// a Scratch value does. Pooling is invisible to results: a pooled run is
-// bit-identical to an unpooled one (pinned by tests), because every
-// recycled object is fully reset or fully overwritten before reuse.
+// A pool is single-threaded: it belongs to exactly one worker goroutine
+// (sequential DFS, one work-stealing worker, one fast-mode or random-walk
+// block), which defers close to stop the thread goroutines. Pooling is
+// invisible to results: a pooled run is bit-identical to an unpooled one
+// (pinned by tests), because every recycled object is fully reset or
+// fully overwritten before reuse.
 //
 // The load-bearing invariant is *lifetime*: pointers into pooled state —
-// *memmodel.Action, Action.Clock, storeRec.sync — are valid only within
-// the execution that produced them. Everything the checker retains
-// across executions already obeys this (Failure renders its trace to a
-// string at creation time; Result holds no actions), and the spec layer
-// above keeps only derived data (fingerprints, counters) in its
-// cross-execution caches. Config.DisablePooling opts out for any client
-// that must retain actions.
+// *memmodel.Action, Action.Clock, storeRec.sync, and the spec layer's
+// *core.Call — are valid only within the execution that produced them.
+// Everything retained across executions already obeys this (Failure
+// renders its trace to a string at creation time; Result holds no
+// actions), and the spec layer above keeps only derived data
+// (fingerprints, counters) in its cross-execution caches.
+// Config.DisablePooling opts out for any client that must retain actions.
 type execPool struct {
 	sys *System
 
@@ -41,7 +44,7 @@ type execPool struct {
 	clkIdx int
 }
 
-// newExecPool returns an empty pool for one shard, or nil when pooling
+// newExecPool returns an empty pool for one worker, or nil when pooling
 // is disabled — every use site treats a nil pool as "allocate fresh".
 func newExecPool(c *Config) *execPool {
 	if c.DisablePooling {
@@ -91,7 +94,8 @@ func (p *execPool) take(cfg *Config, ch chooser, execIndex int, scratch any) *Sy
 	s.evictions = 0
 	s.specReport = SpecReport{}
 	s.sleep.clear()
-	s.Aux = nil
+	// Aux is kept: its owner resets it from OnRunStart (core.Install
+	// reuses the previous execution's spec monitor).
 	s.Scratch = scratch
 	s.pool = p
 	p.actIdx = 0
@@ -100,18 +104,40 @@ func (p *execPool) take(cfg *Config, ch chooser, execIndex int, scratch any) *Sy
 }
 
 // getThread returns the id-th thread struct, recycled and reset to run
-// fn with a clock copied from src. The previous execution's goroutine
-// has fully exited (drain guarantees it), so the channels are idle and
-// reusable; only a fresh goroutine is started per execution.
+// fn with a clock copied from src. Each slot keeps one goroutine for the
+// life of the pool (threadLoop); reap has returned it to its loop head,
+// so the channels are idle and the next resume is this execution's
+// start grant. A goroutine is started only for a slot that has none.
 func (p *execPool) getThread(s *System, id int, name string, fn func(*Thread), src *memmodel.ClockVector) *Thread {
+	var t *Thread
 	if id < len(p.threads) {
-		t := p.threads[id]
+		t = p.threads[id]
 		t.reset(s, name, fn, src)
-		return t
+	} else {
+		t = newThreadStruct(s, id, name, fn, cloneOrNew(src))
+		p.threads = append(p.threads, t)
 	}
-	t := newThreadStruct(s, id, name, fn, cloneOrNew(src))
-	p.threads = append(p.threads, t)
+	if !t.looping {
+		t.looping = true
+		go t.threadLoop()
+	}
 	return t
+}
+
+// close stops every slot's goroutine and returns once each has left its
+// loop. The pool is unusable afterwards. Every pool owner defers it; a
+// nil pool (pooling disabled) has nothing to stop.
+func (p *execPool) close() {
+	if p == nil {
+		return
+	}
+	for _, t := range p.threads {
+		if t.looping {
+			t.looping = false
+			close(t.resume)
+			<-t.parked
+		}
+	}
 }
 
 // getLocation returns the id-th location struct, recycled and reset.

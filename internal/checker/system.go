@@ -99,9 +99,8 @@ type System struct {
 	// goroutine holds the baton (see Thread.park), and the holder whose
 	// decision finds the execution over signals here exactly once.
 	schedDone chan struct{}
-	// draining tells an unwinding thread goroutine that reap is
-	// collecting goroutines: skip the baton handoff and just signal
-	// exit.
+	// draining tells an unwinding thread that reap is collecting
+	// threads: skip the baton handoff and just signal parked.
 	draining bool
 
 	// enabledBuf backs enabledThreads, reused across scheduling steps.
@@ -130,7 +129,9 @@ type System struct {
 	sleep *sleepSet
 
 	// Aux carries per-execution state for higher layers (the CDSSpec
-	// monitor installs itself here from the OnRunStart hook).
+	// monitor installs itself here from the OnRunStart hook). A pooled
+	// System keeps it across the executions of one worker, so its owner
+	// can reuse it; OnRunStart must reset or replace it.
 	Aux any
 	// Scratch carries per-shard state created by Config.NewScratch (the
 	// CDSSpec layer keeps its spec-check memoization cache here). Unlike
@@ -257,13 +258,13 @@ func (s *System) newThread(name string, fn func(*Thread), src *memmodel.ClockVec
 		t = s.pool.getThread(s, len(s.threads), name, fn, src)
 	} else {
 		t = newThreadStruct(s, len(s.threads), name, fn, cloneOrNew(src))
+		go t.threadMain()
 	}
 	// The child starts parked at its start point; its goroutine blocks
 	// on the resume channel until a scheduling decision picks it, so no
 	// startup handshake is needed.
 	t.state = tsParked
 	s.threads = append(s.threads, t)
-	go t.threadMain()
 	return t
 }
 

@@ -107,6 +107,9 @@ type Thread struct {
 	fn     func(*Thread)
 	resume chan struct{}
 	parked chan struct{}
+	// looping reports that a pooled slot's goroutine is alive in
+	// threadLoop (see execPool); unpooled threads never set it.
+	looping bool
 }
 
 // newThreadStruct builds a fresh Thread. clock ownership passes to the
@@ -128,9 +131,9 @@ func newThreadStruct(s *System, id int, name string, fn func(*Thread), clock *me
 }
 
 // reset returns a pooled Thread to its just-constructed state, keeping
-// the id, the channels (the previous execution's goroutine has fully
-// exited, so they are idle), and every clock's storage. src seeds the
-// clock (nil = empty).
+// the id, the channels and the slot's goroutine (reap has returned it to
+// the head of threadLoop, so the channels are idle), and every clock's
+// storage. src seeds the clock (nil = empty).
 func (t *Thread) reset(s *System, name string, fn func(*Thread), src *memmodel.ClockVector) {
 	t.sys = s
 	t.name = name
@@ -350,8 +353,31 @@ func (t *Thread) NewMutex(name string) *Mutex {
 	return m
 }
 
-// threadMain is the goroutine body of a simulated thread.
+// threadMain is the goroutine body of an unpooled thread: it serves one
+// execution and exits.
 func (t *Thread) threadMain() {
+	<-t.resume
+	t.run()
+}
+
+// threadLoop is the goroutine body of a pooled thread slot. It serves
+// the slot's thread in every execution of the pool, so the goroutine and
+// its grown stack outlive each execution: between executions it waits
+// at the loop head, where every receive on resume is the next
+// execution's start grant. execPool.close closes resume to end it.
+func (t *Thread) threadLoop() {
+	for range t.resume {
+		t.run()
+	}
+	t.parked <- struct{}{}
+}
+
+// run executes the thread for one execution, starting at the start
+// grant its caller just received. However the run ends — normal return,
+// abort, user panic — it passes the baton on and signals parked, which
+// reap consumes before the Thread can be recycled.
+func (t *Thread) run() {
+	returned := false
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(abortRun); !ok {
@@ -366,13 +392,16 @@ func (t *Thread) threadMain() {
 				}
 				t.sys.aborted = true
 			}
+		} else if !returned {
+			// runtime.Goexit in user code: the goroutine ends after
+			// this function, so the slot needs a new one next time.
+			t.looping = false
 		}
 		t.finishClock = t.clock.Share()
 		t.state = tsFinished
 		// A finishing (or unwinding) thread holds the baton: pass it on
 		// exactly as park would, unless reap is already collecting
-		// goroutines (it owns the baton then). The parked send is the
-		// exit signal reap consumes before the Thread can be pooled.
+		// threads (it owns the baton then).
 		if !t.sys.draining {
 			if next := t.sys.nextThread(); next != nil {
 				next.resume <- struct{}{}
@@ -383,9 +412,9 @@ func (t *Thread) threadMain() {
 		t.parked <- struct{}{}
 	}()
 
-	// Born parked (newThread sets tsParked before the goroutine starts):
-	// block until a scheduling decision picks this thread.
-	<-t.resume
+	// Born parked (newThread sets tsParked before handing the thread to
+	// a goroutine): the start grant is the scheduling decision that
+	// picked this thread.
 	if t.sys.aborted {
 		panic(abortRun{})
 	}
@@ -403,4 +432,5 @@ func (t *Thread) threadMain() {
 	t.tseq++
 	t.clock.Set(t.id, t.tseq)
 	t.sys.record(t, memmodel.KindThreadFinish, memmodel.Relaxed, nil, 0)
+	returned = true
 }

@@ -183,6 +183,7 @@ func exploreWorkSteal(c *Config, root func(*Thread)) *Result {
 func (e *wsEngine) worker(w int) {
 	d := newDFSChooser(e.c)
 	pool := newExecPool(e.c)
+	defer pool.close()
 	dq := e.deques[w]
 	for {
 		if e.stop.Load() {

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"hash/fnv"
-	"sort"
 	"sync"
 
 	"repro/internal/checker"
@@ -57,6 +56,7 @@ func cacheOf(sys *checker.System) *checkCache {
 // the fingerprint buffer. A shard runs one check at a time, so a single
 // instance serves every execution of the shard.
 type checkScratch struct {
+	rel        orderRelation
 	reachRows  [][]bool
 	reachCells []bool
 	idx        map[*Call]int
@@ -65,7 +65,6 @@ type checkScratch struct {
 	order      []*Call
 	ready      []int
 	fp         []byte
-	auxKeys    []string
 }
 
 // grabMatrix returns a zeroed n×n bool matrix backed by the scratch
@@ -110,15 +109,17 @@ func (sc *checkScratch) grabTopo(n int) (indeg []int, used []bool, order []*Call
 
 // fingerprint serializes the execution's spec-relevant content into a
 // canonical byte string and returns it together with its 64-bit FNV-1a
-// hash. Two executions with equal fingerprints are indistinguishable to
-// the checking pipeline: per call it covers identity (ID, thread), the
+// hash. The key aliases the scratch's buffer (valid until the next
+// fingerprint call), so a cache hit looks it up without copying it. Two
+// executions with equal fingerprints are indistinguishable to the
+// checking pipeline: per call it covers identity (ID, thread), the
 // method name, arguments, return value, and spec-visible aux values (in
 // sorted key order), and it closes with the transitively closed ~r~
 // reachability matrix. SRet is deliberately excluded — it is an output of
 // the check, not an input. The hash is also the per-execution entropy
 // source for the history sampler seed, which is why it must be a stable
 // content hash (FNV), not a per-process one.
-func fingerprint(sc *checkScratch, calls []*Call, r *orderRelation) (key string, hash uint64) {
+func fingerprint(sc *checkScratch, calls []*Call, r *orderRelation) (key []byte, hash uint64) {
 	buf := sc.fp[:0]
 	n := len(calls)
 	buf = binary.AppendUvarint(buf, uint64(n))
@@ -137,19 +138,11 @@ func fingerprint(sc *checkScratch, calls []*Call, r *orderRelation) (key string,
 		} else {
 			buf = append(buf, 0)
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(c.Aux)))
-		if len(c.Aux) > 0 {
-			keys := sc.auxKeys[:0]
-			for k := range c.Aux {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				buf = binary.AppendUvarint(buf, uint64(len(k)))
-				buf = append(buf, k...)
-				buf = binary.AppendUvarint(buf, uint64(c.Aux[k]))
-			}
-			sc.auxKeys = keys[:0]
+		buf = binary.AppendUvarint(buf, uint64(len(c.aux)))
+		for _, e := range c.aux {
+			buf = binary.AppendUvarint(buf, uint64(len(e.key)))
+			buf = append(buf, e.key...)
+			buf = binary.AppendUvarint(buf, uint64(e.v))
 		}
 	}
 	// The closed ~r~ matrix, bit-packed row-major.
@@ -175,7 +168,7 @@ func fingerprint(sc *checkScratch, calls []*Call, r *orderRelation) (key string,
 
 	h := fnv.New64a()
 	h.Write(buf)
-	return string(buf), h.Sum64()
+	return buf, h.Sum64()
 }
 
 // reportFor summarizes a CheckResult as the per-execution SpecReport the

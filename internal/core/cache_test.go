@@ -166,7 +166,8 @@ func fingerprintOf(t *testing.T, calls []*Call) (string, uint64) {
 	t.Helper()
 	sc := &checkScratch{}
 	r := buildOrderScratch(calls, sc)
-	return fingerprint(sc, calls, r)
+	key, hash := fingerprint(sc, calls, r)
+	return string(key), hash
 }
 
 // TestFingerprintDistinguishesContent: executions differing in any
@@ -229,7 +230,7 @@ func TestCheckMemoHitIsolation(t *testing.T) {
 		cE := makeCall(0, "enq", 0, opE)
 		cE.Args = []memmodel.Value{1}
 		cD := makeCall(1, "deq", 2, opD) // wrong value: check fails
-		return &Monitor{spec: queueSpec(), calls: []*Call{cE, cD}, active: map[int]*Call{}, depth: map[int]int{}}
+		return &Monitor{spec: queueSpec(), calls: []*Call{cE, cD}}
 	}
 	cc := newCheckCache()
 	r1, rep1 := mk().checkMemo(cc)

@@ -30,6 +30,13 @@ import (
 // Call records one API method call in an execution: the paper's method
 // invocation/response pair plus its dynamic information and ordering
 // points.
+//
+// A *Call follows the lifetime rule of the *memmodel.Action values it
+// holds: it is valid only within the execution that produced it. The
+// Monitor that records it is pooled per exploration worker and recycles
+// its Call structs (with their Args, OPs and aux backing arrays) when
+// the worker's next execution begins, so a caller that needs a call's
+// content after the execution must copy it out.
 type Call struct {
 	// ID is the index of the call in the execution (program order of
 	// invocation events).
@@ -53,15 +60,44 @@ type Call struct {
 	// SRet is scratch space for specs: the sequential return value
 	// (S_RET in the paper), written by SideEffect, read by PostCondition.
 	SRet memmodel.Value
-	// Aux is extra scratch space for specs that need more than SRet.
-	Aux map[string]memmodel.Value
+	// aux is extra scratch space for specs that need more than SRet (see
+	// SetAux), kept sorted by key so fingerprints serialize it in
+	// canonical order without sorting.
+	aux []auxEntry
 
 	ended bool
+
+	// ctx is the instrumentation handle Begin returns for this call,
+	// embedded so that opening a call allocates nothing once the
+	// monitor's pool is warm.
+	ctx CallCtx
 }
 
 type potentialOP struct {
 	label string
 	act   *memmodel.Action
+}
+
+type auxEntry struct {
+	key string
+	v   memmodel.Value
+}
+
+// reset recycles c as call id of thread tid, keeping the backing arrays
+// of its slices. args are copied, never aliased.
+func (c *Call) reset(m *Monitor, id, tid int, name string, args []memmodel.Value) {
+	c.ID = id
+	c.Thread = tid
+	c.Name = name
+	c.Args = append(c.Args[:0], args...)
+	c.Ret = 0
+	c.HasRet = false
+	c.OPs = c.OPs[:0]
+	c.potentials = c.potentials[:0]
+	c.SRet = 0
+	c.aux = c.aux[:0]
+	c.ended = false
+	c.ctx = CallCtx{m: m, call: c, tid: tid}
 }
 
 // Arg returns the i-th argument (0 if absent), a convenience for specs.
@@ -74,15 +110,27 @@ func (c *Call) Arg(i int) memmodel.Value {
 
 // SetAux stores a named scratch value on the call.
 func (c *Call) SetAux(key string, v memmodel.Value) {
-	if c.Aux == nil {
-		c.Aux = map[string]memmodel.Value{}
+	i := 0
+	for i < len(c.aux) && c.aux[i].key < key {
+		i++
 	}
-	c.Aux[key] = v
+	if i < len(c.aux) && c.aux[i].key == key {
+		c.aux[i].v = v
+		return
+	}
+	c.aux = append(c.aux, auxEntry{})
+	copy(c.aux[i+1:], c.aux[i:])
+	c.aux[i] = auxEntry{key: key, v: v}
 }
 
 // GetAux reads a named scratch value (0 if absent).
 func (c *Call) GetAux(key string) memmodel.Value {
-	return c.Aux[key]
+	for _, e := range c.aux {
+		if e.key == key {
+			return e.v
+		}
+	}
+	return 0
 }
 
 // String renders the call for diagnostics, e.g. "deq()/-1 [T2 #5]".

@@ -6,30 +6,68 @@ import (
 )
 
 // Monitor records the method calls of one execution and checks them
-// against a Spec when the execution completes. One Monitor is installed
-// per execution via Install (typically from Config.OnRunStart).
+// against a Spec when the execution completes. Install (typically from
+// Config.OnRunStart) readies one per execution. A pooled System keeps
+// its Monitor across the executions of one exploration worker, and
+// Install resets it in place, so the monitor's record — Calls() and
+// every *Call in it — is valid only within the execution that produced
+// it (the lifetime rule of *memmodel.Action, see Call).
 type Monitor struct {
-	spec  *Spec
+	spec *Spec
+	// calls is the execution's record in begin order. Its backing array
+	// doubles as the pool of Call structs: slots past len hold calls of
+	// earlier executions (or nil), which Begin recycles.
 	calls []*Call
-	// active tracks the outermost open call per thread: when an API
-	// method calls another API method, only the outermost counts
-	// (paper §4.3, "Nested API Method Call").
-	active map[int]*Call
-	depth  map[int]int
+	// threads is the per-thread state, indexed by tid.
+	threads []monThread
 	// noScratch backs the check when no shard cache (and thus no shared
 	// checkScratch) is available — direct Check() calls from unit tests.
 	noScratch checkScratch
-	// muts counts spec-layer mutations per thread, for the checker's
-	// spinloop reduction (see ReduceThreadMuts in reduce.go).
-	muts map[int]uint64
 }
 
-// Install creates a Monitor for spec and hangs it off the system so the
-// instrumented data-structure code can find it.
+// monThread is the monitor's state for one simulated thread.
+type monThread struct {
+	// depth counts the thread's open API calls: when an API method
+	// calls another API method, only the outermost counts (paper §4.3,
+	// "Nested API Method Call").
+	depth int
+	// muts counts spec-layer mutations, for the checker's spinloop
+	// reduction (see ReduceThreadMuts in reduce.go).
+	muts uint64
+	// nested is the inert context Begin hands to nested calls.
+	nested *CallCtx
+}
+
+// Install readies a Monitor for spec on the system so the instrumented
+// data-structure code can find it. A monitor for the same spec left on a
+// pooled System by its previous execution is reset and reused; otherwise
+// a fresh one is created.
 func Install(sys *checker.System, spec *Spec) *Monitor {
-	m := &Monitor{spec: spec, active: map[int]*Call{}, depth: map[int]int{}}
+	if m, ok := sys.Aux.(*Monitor); ok && m.spec == spec {
+		m.reset()
+		return m
+	}
+	m := &Monitor{spec: spec}
 	sys.Aux = m
 	return m
+}
+
+// reset empties the record for the next execution, keeping every
+// backing array (and the recycled Call structs) for reuse.
+func (m *Monitor) reset() {
+	m.calls = m.calls[:0]
+	for i := range m.threads {
+		m.threads[i].depth = 0
+		m.threads[i].muts = 0
+	}
+}
+
+// thread returns tid's state, growing the table on first use.
+func (m *Monitor) thread(tid int) *monThread {
+	for len(m.threads) <= tid {
+		m.threads = append(m.threads, monThread{})
+	}
+	return &m.threads[tid]
 }
 
 // Of returns the Monitor installed on the thread's system, or nil.
@@ -44,7 +82,8 @@ func FromSys(sys *checker.System) *Monitor {
 	return m
 }
 
-// Calls returns the method calls recorded so far.
+// Calls returns the method calls recorded so far. The slice and its
+// calls are valid only within the current execution.
 func (m *Monitor) Calls() []*Call { return m.calls }
 
 // Fingerprint returns the canonical 64-bit content hash of the calls
@@ -68,6 +107,7 @@ func (m *Monitor) Fingerprint() uint64 {
 // CallCtx is the instrumentation handle for one method call, carrying the
 // ordering-point annotations of the specification language. For nested
 // API calls the context is inert (the outermost call owns the record).
+// Like its Call, it is valid only within the execution that opened it.
 type CallCtx struct {
 	m    *Monitor
 	call *Call // nil when nested (inert)
@@ -75,21 +115,42 @@ type CallCtx struct {
 }
 
 // Begin opens an API method call (the method-begin annotation action).
-// It must be paired with End/EndVoid on every return path.
+// It must be paired with End/EndVoid on every return path. args are
+// copied.
 func (m *Monitor) Begin(t *checker.Thread, name string, args ...memmodel.Value) *CallCtx {
 	if m == nil {
 		return nil
 	}
 	tid := t.ID()
-	m.mut(tid)
-	m.depth[tid]++
-	if m.depth[tid] > 1 {
-		return &CallCtx{m: m, tid: tid} // nested: inert
+	th := m.thread(tid)
+	th.muts++
+	th.depth++
+	if th.depth > 1 {
+		// Nested: inert.
+		if th.nested == nil {
+			th.nested = &CallCtx{m: m, tid: tid}
+		}
+		return th.nested
 	}
-	c := &Call{ID: len(m.calls), Thread: tid, Name: name, Args: args}
-	m.calls = append(m.calls, c)
-	m.active[tid] = c
-	return &CallCtx{m: m, call: c, tid: tid}
+	n := len(m.calls)
+	if n < cap(m.calls) {
+		m.calls = m.calls[:n+1]
+	} else {
+		m.calls = append(m.calls, nil)
+	}
+	c := m.calls[n]
+	if c == nil {
+		c = &Call{}
+		m.calls[n] = c
+	}
+	c.reset(m, n, tid, name, args)
+	return &c.ctx
+}
+
+// end closes the context's call level on its thread.
+func (x *CallCtx) end() {
+	x.m.mut(x.tid)
+	x.m.threads[x.tid].depth--
 }
 
 // End closes the call with a return value (C_RET).
@@ -97,13 +158,11 @@ func (x *CallCtx) End(t *checker.Thread, ret memmodel.Value) {
 	if x == nil {
 		return
 	}
-	x.m.mut(x.tid)
-	x.m.depth[x.tid]--
+	x.end()
 	if x.call != nil {
 		x.call.Ret = ret
 		x.call.HasRet = true
 		x.call.ended = true
-		delete(x.m.active, x.tid)
 	}
 }
 
@@ -112,11 +171,9 @@ func (x *CallCtx) EndVoid(t *checker.Thread) {
 	if x == nil {
 		return
 	}
-	x.m.mut(x.tid)
-	x.m.depth[x.tid]--
+	x.end()
 	if x.call != nil {
 		x.call.ended = true
-		delete(x.m.active, x.tid)
 	}
 }
 

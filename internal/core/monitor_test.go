@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/checker"
@@ -279,5 +280,151 @@ func TestCrossThreadOPOrdering(t *testing.T) {
 	}
 	if seen.reverse {
 		t.Error("saw a bogus reverse ordering (a load cannot happen-before the store it reads)")
+	}
+}
+
+// monitorSnap is what one execution's monitor looked like at its end.
+type monitorSnap struct {
+	mon      *Monitor
+	first    *Call
+	calls    []string
+	fp       uint64
+	ra, rb   uint64
+	muts     [2]uint64
+	openRoot int
+	// mid is ReduceFingerprint taken by the program mid-execution, with
+	// calls open.
+	mid [2]uint64
+}
+
+// reuseProg records a heavy, multi-threaded call pattern in execution 1
+// — several aux keys, ordering points, potentials, and calls left open
+// at two nesting levels — and a light, different one in execution 2.
+// Each execution stores ReduceFingerprint mid-run, with calls open, in
+// mid[exec-1].
+func reuseProg(mid *[2][2]uint64) func(*checker.Thread) {
+	return func(root *checker.Thread) {
+		reuseBody(root, mid)
+	}
+}
+
+func reuseBody(root *checker.Thread, mid *[2][2]uint64) {
+	mon := Of(root)
+	x := root.NewAtomicInit("x", 0)
+	if root.Sys().ExecIndex() == 1 {
+		c := mon.Begin(root, "m", 1, 2, 3)
+		x.Store(root, memmodel.Release, 1)
+		c.OPDefine(root, true)
+		_ = x.Load(root, memmodel.Acquire)
+		c.PotentialOP(root, "p", true)
+		c.SetAux("b", 5)
+		c.SetAux("a", 4)
+		c.SetAux("c", 6)
+		c.End(root, 9)
+		a := root.Spawn("a", func(tt *checker.Thread) {
+			c := mon.Begin(tt, "m", 4)
+			_ = x.Load(tt, memmodel.Acquire)
+			c.OPDefine(tt, true)
+			c.SetAux("y", 2)
+			c.End(tt, 1)
+		})
+		outer := mon.Begin(root, "n", 7)
+		_ = x.Load(root, memmodel.Acquire)
+		outer.OPDefine(root, true)
+		outer.PotentialOP(root, "p", true)
+		inner := mon.Begin(root, "m") // nested, and both left open
+		inner.SetAux("z", 1)
+		root.Join(a)
+		mid[0][0], mid[0][1] = mon.ReduceFingerprint()
+		return
+	}
+	c := mon.Begin(root, "n")
+	x.Store(root, memmodel.Relaxed, 2)
+	c.PotentialOP(root, "q", true)
+	inner := mon.Begin(root, "m")
+	mid[1][0], mid[1][1] = mon.ReduceFingerprint()
+	inner.End(root, 3)
+	c.SetAux("b", 8)
+	c.EndVoid(root)
+}
+
+// runReuse runs reuseProg for two random walks on one worker and
+// snapshots the monitor at the end of each.
+func runReuse(t *testing.T, disablePooling bool) [2]monitorSnap {
+	t.Helper()
+	spec := trivialSpec()
+	var snaps [2]monitorSnap
+	var mid [2][2]uint64
+	cfg := checker.Config{
+		RandomWalk:     2,
+		DisablePooling: disablePooling,
+		OnRunStart:     func(sys *checker.System) { Install(sys, spec) },
+		OnExecution: func(sys *checker.System) []*checker.Failure {
+			m := FromSys(sys)
+			s := monitorSnap{mon: m, fp: m.Fingerprint()}
+			s.ra, s.rb = m.ReduceFingerprint()
+			for tid := range s.muts {
+				s.muts[tid] = m.ReduceThreadMuts(tid)
+			}
+			if len(m.threads) > 0 {
+				s.openRoot = m.threads[0].depth
+			}
+			for _, c := range m.Calls() {
+				s.calls = append(s.calls, fmt.Sprintf("%s aux=%v ops=%d pot=%d ended=%v",
+					c, c.aux, len(c.OPs), len(c.potentials), c.ended))
+			}
+			if len(m.Calls()) > 0 {
+				s.first = m.Calls()[0]
+			}
+			snaps[sys.ExecIndex()-1] = s
+			return nil
+		},
+	}
+	if res := checker.Explore(cfg, reuseProg(&mid)); res.Executions != 2 || res.Feasible != 2 {
+		t.Fatalf("want two feasible executions: %v", res)
+	}
+	snaps[0].mid, snaps[1].mid = mid[0], mid[1]
+	return snaps
+}
+
+// TestMonitorReuseAcrossExecutions: a pooled System keeps its Monitor,
+// and Install resets it so the second execution sees nothing left over
+// from the first — its record, fingerprints and mutation counters equal
+// those of a freshly built Monitor (the unpooled run) for the same
+// record.
+func TestMonitorReuseAcrossExecutions(t *testing.T) {
+	pooled := runReuse(t, false)
+	fresh := runReuse(t, true)
+	if pooled[0].mon != pooled[1].mon || pooled[0].first != pooled[1].first {
+		t.Fatal("pooled run did not reuse the monitor and its calls")
+	}
+	if fresh[0].mon == fresh[1].mon {
+		t.Fatal("unpooled run reused a monitor")
+	}
+	if pooled[0].openRoot != 2 {
+		t.Fatalf("execution 1 should end with two open calls on the root, got depth %d", pooled[0].openRoot)
+	}
+	want := []string{"n() [T0 #0] aux=[{b 8}] ops=0 pot=1 ended=true"}
+	if fmt.Sprint(pooled[1].calls) != fmt.Sprint(want) {
+		t.Errorf("second execution's record = %q, want %q", pooled[1].calls, want)
+	}
+	for i := range pooled {
+		p, f := pooled[i], fresh[i]
+		if fmt.Sprint(p.calls) != fmt.Sprint(f.calls) {
+			t.Errorf("execution %d: record %q, fresh monitor %q", i+1, p.calls, f.calls)
+		}
+		if p.fp != f.fp {
+			t.Errorf("execution %d: Fingerprint %x, fresh monitor %x", i+1, p.fp, f.fp)
+		}
+		if p.mid != f.mid {
+			t.Errorf("execution %d: mid-run ReduceFingerprint %x, fresh monitor %x", i+1, p.mid, f.mid)
+		}
+		if p.ra != f.ra || p.rb != f.rb {
+			t.Errorf("execution %d: ReduceFingerprint (%x,%x), fresh monitor (%x,%x)", i+1, p.ra, p.rb, f.ra, f.rb)
+		}
+		if p.muts != f.muts || p.openRoot != f.openRoot {
+			t.Errorf("execution %d: muts %v depth %d, fresh monitor muts %v depth %d",
+				i+1, p.muts, p.openRoot, f.muts, f.openRoot)
+		}
 	}
 }

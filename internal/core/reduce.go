@@ -1,7 +1,5 @@
 package core
 
-import "sort"
-
 // This file implements the checker's reduction-layer hooks on Monitor
 // (checker.AuxFingerprinter and checker.AuxMutTracker, matched
 // structurally — the checker never imports this package). The
@@ -89,29 +87,23 @@ func (m *Monitor) ReduceFingerprint() (uint64, uint64) {
 			p.push(uint64(pot.act.Thread))
 			p.push(uint64(pot.act.TSeq))
 		}
-		p.push(uint64(len(c.Aux)))
-		if len(c.Aux) > 0 {
-			keys := make([]string, 0, len(c.Aux))
-			for k := range c.Aux {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				p.pushString(k)
-				p.push(uint64(c.Aux[k]))
-			}
+		p.push(uint64(len(c.aux)))
+		for _, e := range c.aux {
+			p.pushString(e.key)
+			p.push(uint64(e.v))
 		}
 	}
-	// Nesting depths fold commutatively (map iteration order must not
-	// leak); zero depths are absent-equivalent and skipped.
+	// Nesting depths fold commutatively (the fold predates the per-tid
+	// table and keeps its values); zero depths are absent-equivalent and
+	// skipped.
 	var da, db uint64
-	for tid, d := range m.depth {
-		if d == 0 {
+	for tid, th := range m.threads {
+		if th.depth == 0 {
 			continue
 		}
 		e := reducePair{}
 		e.push(uint64(tid))
-		e.push(uint64(d))
+		e.push(uint64(th.depth))
 		da += e.a
 		db += e.b
 	}
@@ -127,13 +119,14 @@ func (m *Monitor) ReduceFingerprint() (uint64, uint64) {
 // Begin/End (including nested pairs, conservatively), SetAux, and the
 // ordering-point annotations.
 func (m *Monitor) ReduceThreadMuts(tid int) uint64 {
-	return m.muts[tid]
+	if tid >= len(m.threads) {
+		return 0
+	}
+	return m.threads[tid].muts
 }
 
-// mut bumps tid's spec-mutation counter.
+// mut bumps tid's spec-mutation counter; tid has begun a call, so its
+// table entry exists.
 func (m *Monitor) mut(tid int) {
-	if m.muts == nil {
-		m.muts = map[int]uint64{}
-	}
-	m.muts[tid]++
+	m.threads[tid].muts++
 }

@@ -146,10 +146,13 @@ func (t *Target) Check(p *Program, ord *memmodel.OrderTable, cfg CampaignConfig)
 		idx := p.Index
 		ccfg.Progress = func(pr checker.Progress) { cfg.Progress(idx, pr) }
 	}
-	// The exploration is sequential, so the last monitor installed is the
-	// failing execution's (StopAtFirst stops right after it) — its
-	// canonical fingerprint is the dedup key. Built-in failures abort
-	// mid-execution; Fingerprint handles the partial record.
+	// The exploration is sequential, so the last monitor installed holds
+	// the failing execution's record (StopAtFirst stops right after it)
+	// — its canonical fingerprint is the dedup key. The monitor is pooled
+	// and its record is valid only within its execution (see core.Call),
+	// but no execution follows the failing one to recycle it, so the
+	// record is still intact when Explore returns. Built-in failures
+	// abort mid-execution; Fingerprint handles the partial record.
 	var mon *core.Monitor
 	ccfg.OnRunStart = func(sys *checker.System) { mon = core.FromSys(sys) }
 	res := core.Explore(spec, ccfg, prog)
