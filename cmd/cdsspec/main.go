@@ -209,11 +209,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sub.StringVar(&c.weaken, "weaken", "", "fuzz/shrink: weaken this memory-order site one step (seeded bug)")
 	sub.IntVar(&c.index, "index", 0, "shrink: corpus entry index among the benchmark's entries")
 	sub.BoolVar(&c.verbose, "v", false, "list: include op registries and memory-order sites")
-	sub.IntVar(&c.par, "par", 0, "explore/resume: work-stealing workers (0 = use -workers, 1 = sequential engine)")
+	sub.IntVar(&c.par, "par", 0, "explore/resume: work-stealing workers (0 = use -workers)")
 	sub.IntVar(&c.maxExecs, "max", 0, "explore/resume: total execution budget incl. checkpointed work (0 = exhaustive)")
 	sub.StringVar(&c.checkpointPath, "checkpoint", "", "explore/resume: write the exploration checkpoint to this file")
 	sub.DurationVar(&c.checkpointEvery, "checkpoint-every", 0, "explore/resume: also checkpoint periodically at this interval")
-	sub.BoolVar(&c.verify, "verify", false, "resume: re-explore sequentially from scratch and require a bit-identical result")
+	sub.BoolVar(&c.verify, "verify", false, "resume: re-explore from scratch at one worker and require a bit-identical result")
 	sub.DurationVar(&c.timeBudget, "time", 0, "fastrun: wall-clock budget for the screen (0 = run budget only)")
 	sub.StringVar(&c.addr, "addr", "", "serve: listen address (default 127.0.0.1:0); submit/jobs/watch/cancel: daemon address")
 	sub.StringVar(&c.stateDir, "state", "", "serve: state directory (journal + checkpoints); clients read its addr file")
@@ -824,7 +824,7 @@ func (c *cli) exploreCmd(name string) int {
 // envelope's -nocache/-nokernelopts switches are adopted so the resumed
 // half explores under the exact configuration of the first half. With
 // -verify the result is additionally checked bit-identical against a
-// fresh sequential exploration. Re-checkpointing goes back to the same
+// fresh one-worker exploration. Re-checkpointing goes back to the same
 // file unless -checkpoint names another.
 func (c *cli) resumeCmd(path string) int {
 	cf, err := harness.ReadCheckpointFile(path)
@@ -889,7 +889,7 @@ func (c *cli) resumeCmd(path string) int {
 	return 0
 }
 
-// verifyResumed re-explores the benchmark sequentially from scratch and
+// verifyResumed re-explores the benchmark from scratch at one worker and
 // requires the resumed result to match bit-for-bit (timings, scheduler
 // telemetry, and the spec-cache hit/miss split exempt — see
 // harness.ResumeComparableStats) — the checkpoint round-trip smoke check
@@ -901,29 +901,29 @@ func (c *cli) verifyResumed(b *harness.Benchmark, resumed *checker.Result) int {
 	spec.DisableCheckCache = c.nocache
 	cfg := opts.ExplorerConfig(b.Name)
 	cfg.MaxExecutions = c.maxExecs
-	seq := core.Explore(spec, cfg, b.Progs(b.Orders())[0])
+	fresh := core.Explore(spec, cfg, b.Progs(b.Orders())[0])
 	switch {
-	case seq.Executions != resumed.Executions,
-		seq.Feasible != resumed.Feasible,
-		seq.Pruned != resumed.Pruned,
-		seq.Exhausted != resumed.Exhausted,
-		seq.FailureCount != resumed.FailureCount:
-		fmt.Fprintf(c.stderr, "verify FAILED: sequential %+v vs resumed %+v\n", seq, resumed)
+	case fresh.Executions != resumed.Executions,
+		fresh.Feasible != resumed.Feasible,
+		fresh.Pruned != resumed.Pruned,
+		fresh.Exhausted != resumed.Exhausted,
+		fresh.FailureCount != resumed.FailureCount:
+		fmt.Fprintf(c.stderr, "verify FAILED: fresh %+v vs resumed %+v\n", fresh, resumed)
 		return 1
-	case harness.ResumeComparableStats(seq.Stats) != harness.ResumeComparableStats(resumed.Stats):
-		fmt.Fprintf(c.stderr, "verify FAILED: stats diverge\n  sequential: %+v\n  resumed:    %+v\n",
-			harness.ResumeComparableStats(seq.Stats), harness.ResumeComparableStats(resumed.Stats))
+	case harness.ResumeComparableStats(fresh.Stats) != harness.ResumeComparableStats(resumed.Stats):
+		fmt.Fprintf(c.stderr, "verify FAILED: stats diverge\n  fresh:   %+v\n  resumed: %+v\n",
+			harness.ResumeComparableStats(fresh.Stats), harness.ResumeComparableStats(resumed.Stats))
 		return 1
 	}
-	for i := range seq.Failures {
-		sf, rf := seq.Failures[i], resumed.Failures[i]
+	for i := range fresh.Failures {
+		sf, rf := fresh.Failures[i], resumed.Failures[i]
 		if sf.Kind != rf.Kind || sf.Execution != rf.Execution {
 			fmt.Fprintf(c.stderr, "verify FAILED: failure %d diverges: %v@%d vs %v@%d\n",
 				i, sf.Kind, sf.Execution, rf.Kind, rf.Execution)
 			return 1
 		}
 	}
-	fmt.Fprintln(c.stdout, "verify OK: resumed result is bit-identical to a fresh sequential exploration")
+	fmt.Fprintln(c.stdout, "verify OK: resumed result is bit-identical to a fresh one-worker exploration")
 	return 0
 }
 

@@ -263,29 +263,6 @@ func TestStepBoundPrunes(t *testing.T) {
 	}
 }
 
-// TestRandomWalkDeterministicSeed: same seed, same outcome counts.
-func TestRandomWalkDeterministicSeed(t *testing.T) {
-	run := func() string {
-		var log []string
-		cfg := Config{RandomWalk: 20, Seed: 7,
-			OnExecution: func(sys *System) []*Failure {
-				log = append(log, fmt.Sprint(len(sys.Actions())))
-				return nil
-			}}
-		Explore(cfg, func(root *Thread) {
-			x := root.NewAtomicInit("x", 0)
-			a := root.Spawn("a", func(tt *Thread) { x.Store(tt, memmodel.Relaxed, 1) })
-			b := root.Spawn("b", func(tt *Thread) { _ = x.Load(tt, memmodel.Relaxed) })
-			root.Join(a)
-			root.Join(b)
-		})
-		return strings.Join(log, ",")
-	}
-	if run() != run() {
-		t.Error("random walk with fixed seed not deterministic")
-	}
-}
-
 // TestStopAtFirst stops after the first failing execution.
 func TestStopAtFirst(t *testing.T) {
 	res := Explore(Config{StopAtFirst: true}, func(root *Thread) {

@@ -152,7 +152,7 @@ func (e *wsEngine) checkpoint(baseElapsed time.Duration) *Checkpoint {
 	if e.priorMaxFrontier > cp.MaxFrontier {
 		cp.MaxFrontier = e.priorMaxFrontier
 	}
-	l := e.fold
+	l := &e.fold
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for c := l.head; c != nil; c = c.next {

@@ -1,8 +1,10 @@
 package checker
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/checker/model"
 	"repro/internal/memmodel"
@@ -10,8 +12,9 @@ import (
 
 // TestConfigValidate pins the rejection of configurations that earlier
 // versions silently mishandled: a negative StoreBound was clamped up to 2
-// as if it were a small bound, and FastMode quietly ignored checkpoint,
-// resume, and random-walk settings instead of refusing them.
+// as if it were a small bound, FastMode quietly ignored checkpoint and
+// resume settings instead of refusing them, and DFS quietly ignored
+// TimeBudget (a negative one also silently meant "none").
 func TestConfigValidate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -29,9 +32,10 @@ func TestConfigValidate(t *testing.T) {
 		{"fastmode-checkpoint", Config{FastMode: true, Checkpoint: func(*Checkpoint) {}}, "cannot checkpoint"},
 		{"fastmode-checkpoint-every", Config{FastMode: true, CheckpointEvery: 1}, "cannot checkpoint"},
 		{"fastmode-resume", Config{FastMode: true, ResumeFrom: &Checkpoint{}}, "cannot resume"},
-		{"fastmode-randomwalk", Config{FastMode: true, RandomWalk: 10}, "mutually exclusive"},
-		{"randomwalk-resume", Config{RandomWalk: 10, ResumeFrom: &Checkpoint{}}, "cannot resume"},
-		{"randomwalk-checkpoint-ignored", Config{RandomWalk: 10, Checkpoint: func(*Checkpoint) {}}, ""},
+		{"fastmode-time-budget", Config{FastMode: true, TimeBudget: time.Second}, ""},
+		{"dfs-time-budget", Config{TimeBudget: time.Second}, "applies only to FastMode"},
+		{"negative-time-budget", Config{FastMode: true, TimeBudget: -1}, "TimeBudget must be >= 0"},
+		{"negative-time-budget-dfs", Config{TimeBudget: -1}, "TimeBudget must be >= 0"},
 		// Checkpoint-interval misconfigurations: a negative interval used
 		// to fall through every `> 0` guard (behaving as "final snapshot
 		// only" while still forcing the engine), and a positive interval
@@ -63,19 +67,19 @@ func TestExplorePanicsOnInvalidConfig(t *testing.T) {
 	defer func() {
 		r := recover()
 		if r == nil {
-			t.Fatal("Explore accepted FastMode + RandomWalk without panicking")
+			t.Fatal("Explore accepted a DFS TimeBudget without panicking")
 		}
-		if s, ok := r.(string); !ok || !strings.Contains(s, "mutually exclusive") {
+		if s, ok := r.(string); !ok || !strings.Contains(s, "applies only to FastMode") {
 			t.Fatalf("unexpected panic value: %v", r)
 		}
 	}()
-	Explore(Config{FastMode: true, RandomWalk: 5}, func(root *Thread) {})
+	Explore(Config{TimeBudget: time.Second}, func(root *Thread) {})
 }
 
 // routingProg is a tiny exhaustible program (relaxed SB) for the routing
-// tests: sequential DFS exhausts it in well under 100 executions, so a
-// bounded sampling engine (Executions == budget, Exhausted == false) is
-// distinguishable from the DFS engines (Exhausted == true).
+// tests: DFS exhausts it in well under 100 executions, so the bounded
+// sampling engine (Executions == budget, Exhausted == false) is
+// distinguishable from the DFS engine (Exhausted == true).
 func routingProg(root *Thread) {
 	x := root.NewAtomicInit("x", 0)
 	y := root.NewAtomicInit("y", 0)
@@ -91,49 +95,34 @@ func routingProg(root *Thread) {
 	root.Join(b)
 }
 
-// TestEngineRoutingPrecedence pins the documented routing table
-// (FastMode > RandomWalk > work-stealing engine > sequential DFS) through
-// observable engine behavior. The FastMode-vs-RandomWalk edge needs no
-// routing pin anymore: Validate rejects the combination outright.
+// TestEngineRoutingPrecedence pins the two routes: FastMode, whatever
+// else is set, runs its sampling budget; every other configuration runs
+// the DFS engine, which at any Parallelism — with or without checkpoint
+// plumbing — matches the reference sequential DFS.
 func TestEngineRoutingPrecedence(t *testing.T) {
-	// Sequential DFS baseline: exhausts.
-	seq := Explore(Config{}, routingProg)
-	if !seq.Exhausted {
-		t.Fatalf("sequential DFS did not exhaust: %v", seq)
+	ref := referenceExplore(Config{}, routingProg)
+	if !ref.Exhausted {
+		t.Fatalf("reference DFS did not exhaust: %v", ref)
 	}
-	if seq.Executions >= 100 {
-		t.Fatalf("routing program too large for the routing probes: %d executions", seq.Executions)
+	if ref.Executions >= 100 {
+		t.Fatalf("routing program too large for the routing probes: %d executions", ref.Executions)
 	}
 
-	// FastMode outranks the work-stealing engine: even with Parallelism
-	// set, the run is a fixed sampling budget, never an exhausting DFS.
+	// FastMode outranks the DFS engine: even with Parallelism set, the
+	// run is a fixed sampling budget, never an exhausting DFS.
 	fast := Explore(Config{FastMode: true, MaxExecutions: 100, Parallelism: 4, Seed: 3}, routingProg)
 	if fast.Exhausted || fast.Executions != 100 {
 		t.Errorf("FastMode + Parallelism routed wrong: exhausted=%v executions=%d, want false/100",
 			fast.Exhausted, fast.Executions)
 	}
 
-	// RandomWalk outranks the work-stealing engine, and its documented-
-	// ignored Checkpoint stays ignored (walks have no frontier).
-	cpCalls := 0
-	walk := Explore(Config{RandomWalk: 120, Parallelism: 4, Seed: 3, Checkpoint: func(*Checkpoint) { cpCalls++ }}, routingProg)
-	if walk.Exhausted || walk.Executions != 120 {
-		t.Errorf("RandomWalk + Parallelism routed wrong: exhausted=%v executions=%d, want false/120",
-			walk.Exhausted, walk.Executions)
-	}
-	if cpCalls != 0 {
-		t.Errorf("RandomWalk invoked the Checkpoint callback %d times; walks do not checkpoint", cpCalls)
-	}
-
-	// A checkpoint request routes Parallelism <= 1 through the
-	// work-stealing engine (the callback fires at least once, for the
-	// final snapshot) and stays bit-identical to sequential DFS.
-	cpCalls = 0
-	eng := Explore(Config{Checkpoint: func(*Checkpoint) { cpCalls++ }}, routingProg)
-	if cpCalls == 0 {
-		t.Error("work-stealing engine never delivered the final checkpoint snapshot")
-	}
-	if !eng.Exhausted || eng.Executions != seq.Executions || eng.Feasible != seq.Feasible || eng.Pruned != seq.Pruned {
-		t.Errorf("engine result differs from sequential DFS:\n engine:     %v\n sequential: %v", eng, seq)
+	for _, par := range []int{0, 1, 4, 16} {
+		cpCalls := 0
+		eng := Explore(Config{Parallelism: par, Checkpoint: func(*Checkpoint) { cpCalls++ }}, routingProg)
+		if cpCalls == 0 {
+			t.Errorf("parallelism %d: the engine never delivered the final checkpoint snapshot", par)
+		}
+		requireIdentical(t, fmt.Sprintf("checkpointed parallelism %d", par), ref, eng)
+		requireIdentical(t, fmt.Sprintf("parallelism %d", par), ref, Explore(Config{Parallelism: par}, routingProg))
 	}
 }

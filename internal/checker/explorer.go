@@ -16,7 +16,6 @@ package checker
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"time"
 
@@ -26,27 +25,26 @@ import (
 // Config controls an exploration.
 type Config struct {
 	// Model selects the consistency model the exploration runs under
-	// (default model.C11). Every engine honors it — exhaustive DFS, the
-	// work-stealing engine, RandomWalk, and FastMode — because the rules
-	// live behind the per-System consistency backend, not in the engines.
+	// (default model.C11). Both engines honor it — the work-stealing DFS
+	// engine and FastMode — because the rules live behind the per-System
+	// consistency backend, not in the engines.
 	// An unknown model is a configuration error (Validate reports it;
 	// Explore panics on it).
 	Model model.ID
 	// MaxExecutions bounds the number of executions explored
-	// (0 = exhaustive). It applies to both DFS and RandomWalk mode.
+	// (0 = exhaustive). In FastMode it is the run budget.
 	MaxExecutions int
 	// Parallelism is the number of worker goroutines exploring
-	// concurrently (0 or 1 = sequential). DFS mode explores with
-	// work-stealing over decision subtrees — each worker owns a Chase-Lev
-	// deque of frontier tasks and steals when dry — while folding every
-	// task's result at its canonical decision-path position, so an
-	// exhaustive parallel run returns bit-identical
-	// Executions/Feasible/Pruned/Failures/Stats (timings and scheduler
-	// telemetry aside) to the sequential run. RandomWalk mode shards the
-	// walk count, with each worker drawing from an independent seed
-	// derived from Seed. When Parallelism > 1 the OnRunStart and
-	// OnExecution hooks must be safe for concurrent use (each call still
-	// receives a distinct *System).
+	// concurrently (0 and 1 both mean one worker, which runs on the
+	// calling goroutine). DFS explores with work-stealing over decision
+	// subtrees — each worker owns a Chase-Lev deque of frontier tasks
+	// and steals when dry — while folding every task's result at its
+	// canonical decision-path position, so an exhaustive run returns
+	// bit-identical Executions/Feasible/Pruned/Failures/Stats (timings
+	// and scheduler telemetry aside) at every worker count. FastMode
+	// shards its run budget instead (see FastMode). When Parallelism > 1
+	// the OnRunStart and OnExecution hooks must be safe for concurrent
+	// use (each call still receives a distinct *System).
 	Parallelism int
 	// MaxSteps bounds the visible operations per execution; runs that
 	// exceed it are pruned as infeasible. 0 uses a default of 4000.
@@ -60,29 +58,15 @@ type Config struct {
 	// TraceLimit bounds the rendered trace length in failure reports
 	// (default 64 actions).
 	TraceLimit int
-	// RandomWalk, when positive, replaces exhaustive DFS with that many
-	// independent random executions (decisions drawn from Seed). Useful
-	// for state spaces too large to exhaust.
-	//
-	// Engine-routing precedence (explicit; each mode ignores the knobs of
-	// the ones below it):
-	//
-	//	1. FastMode       — single-pass plausible executions, O(live state)
-	//	2. RandomWalk > 0 — uniform random walks with full bookkeeping
-	//	3. Parallelism > 1 or checkpoint/resume/interrupt configured
-	//	                  — work-stealing DFS engine
-	//	4. otherwise      — sequential DFS
-	//
-	// FastMode and RandomWalk honor Parallelism by sharding their run
-	// budget over contiguous index blocks with per-run derived seeds, so
-	// their Result and Stats are bit-identical at any Parallelism (timings
-	// aside). Checkpoint/ResumeFrom apply only to DFS; Interrupt is
-	// honored by every mode.
-	RandomWalk int
-	// Seed seeds RandomWalk and FastMode. Each run's decision stream is
-	// derived from (Seed, run index), so results do not depend on how runs
-	// are scheduled across workers.
+	// Seed seeds FastMode. Each run's decision stream is derived from
+	// (Seed, run index), so results do not depend on how runs are
+	// scheduled across workers.
 	Seed int64
+	// FastMode selects the randomized engine; without it Explore runs the
+	// work-stealing DFS engine. The two are the only routes, and each
+	// ignores the other's knobs (Validate rejects the combinations that
+	// would otherwise be silently dropped).
+	//
 	// FastMode replaces exploration with C11Tester-style plausible-
 	// execution sampling: each run picks one random schedule and one
 	// plausible reads-from assignment, biased toward recent stores, with
@@ -92,12 +76,17 @@ type Config struct {
 	// loads, deadlocks) still fire; the CDSSpec layer is unsupported
 	// (core.Explore rejects the combination). MaxExecutions is the run
 	// budget (default 1000 when 0); Exhausted is never set — sampling
-	// proves presence, not absence.
+	// proves presence, not absence. FastMode honors Parallelism by
+	// sharding the run budget over contiguous index blocks with per-run
+	// derived seeds, so its Result and Stats are bit-identical at any
+	// Parallelism (timings aside). Checkpoint/ResumeFrom apply only to
+	// DFS; Interrupt is honored by both engines.
 	FastMode bool
 	// TimeBudget, when positive, stops a FastMode run loop after the
 	// elapsed wall clock exceeds it (checked between runs). With
 	// Parallelism > 1 the cut point is nondeterministic, unlike the
-	// run-budget path.
+	// run-budget path. It is FastMode-only: Validate rejects it on a DFS
+	// run and rejects a negative value.
 	TimeBudget time.Duration
 	// StoreBound bounds each location's retained store-buffer window in
 	// FastMode (default 64, minimum 2). When a buffer overflows, the older
@@ -118,10 +107,9 @@ type Config struct {
 	// rf-class subtree pruning over a shared seen-set, thread-symmetry
 	// canonicalization, and spinloop/await bounding. Zero value = no
 	// reduction (the pre-reduction explorer). Each mechanism is
-	// independently toggleable and composes with every DFS engine
-	// (sequential and work-stealing) and every Model backend; RandomWalk
-	// supports only Spinloop, and FastMode supports none (Validate
-	// rejects the other combinations). The behavior set — spec
+	// independently toggleable and composes with the DFS engine at any
+	// Parallelism and every Model backend; FastMode supports none
+	// (Validate rejects the combination). The behavior set — spec
 	// fingerprints and failure kinds — is preserved exactly; see
 	// DESIGN.md §5c for the equivalence key and soundness argument.
 	Reduce ReduceSet
@@ -169,15 +157,15 @@ type Config struct {
 	OnExecution func(sys *System) []*Failure
 	// NewScratch, when set, is called once per exploration shard and its
 	// result is exposed to the hooks as System.Scratch for every execution
-	// of that shard. A shard's boundaries coincide between sequential and
-	// parallel DFS: each branch of the root decision node is one shard (in
-	// RandomWalk mode each worker is a shard). The CDSSpec layer keeps its
-	// spec-check memoization cache here — the alignment is what keeps
-	// cache-derived Stats counters bit-identical between exhaustive
-	// sequential and parallel runs. Under parallel DFS several workers may
-	// explore one shard concurrently (work-stealing carves shards into
-	// subtree tasks), so when Parallelism > 1 the scratch value must be
-	// safe for concurrent use; the CDSSpec cache locks internally.
+	// of that shard. Under DFS each branch of the root decision node is one
+	// shard, whichever workers explore it (in FastMode each run is a
+	// shard). The CDSSpec layer keeps its spec-check memoization cache
+	// here — fixing shards to the decision tree rather than to workers is
+	// what keeps cache-derived Stats counters bit-identical at every
+	// worker count. Several workers may explore one shard concurrently
+	// (work-stealing carves shards into subtree tasks), so when
+	// Parallelism > 1 the scratch value must be safe for concurrent use;
+	// the CDSSpec cache locks internally.
 	NewScratch func() any
 	// Progress, when set, receives a periodic snapshot of the running
 	// exploration every ProgressInterval, plus a closing snapshot with
@@ -194,10 +182,7 @@ type Config struct {
 	// Result/Stats accumulated so far (see Checkpoint). It is called
 	// every CheckpointEvery (when positive) and once more after the
 	// workers stop — whether the run completed, hit MaxExecutions, or was
-	// interrupted — never concurrently with itself. Setting it routes
-	// even Parallelism <= 1 runs through the work-stealing engine.
-	// RandomWalk mode does not checkpoint (walks are independent; rerun
-	// the missing count instead).
+	// interrupted — never concurrently with itself.
 	Checkpoint func(*Checkpoint)
 	// CheckpointEvery is the period between Checkpoint snapshots (0 =
 	// only the final snapshot).
@@ -237,11 +222,10 @@ type Config struct {
 //
 // The checks reject combinations that earlier versions silently ignored
 // or mishandled: a negative StoreBound fell through the minimum clamp to
-// 2 as if it were a small bound, and FastMode quietly dropped
-// Checkpoint/ResumeFrom/RandomWalk instead of refusing them (FastMode
-// samples independent runs — there is no frontier to checkpoint and no
-// walk bookkeeping; the engines are mutually exclusive by the routing
-// precedence documented on RandomWalk).
+// 2 as if it were a small bound, FastMode quietly dropped
+// Checkpoint/ResumeFrom instead of refusing them (FastMode samples
+// independent runs — there is no frontier to checkpoint), and DFS
+// quietly ignored TimeBudget, which only the FastMode run loop checks.
 func (c *Config) Validate() error {
 	if !c.Model.OrDefault().Valid() {
 		return fmt.Errorf("checker: unknown memory model %q (valid: %s)", c.Model, strings.Join(model.Names(), ", "))
@@ -255,25 +239,22 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("checker: FastMode cannot checkpoint — runs are independent samples with no decision frontier; rerun the missing budget instead")
 		case c.ResumeFrom != nil:
 			return fmt.Errorf("checker: FastMode cannot resume a checkpoint — checkpoints hold a DFS frontier, which FastMode does not explore")
-		case c.RandomWalk > 0:
-			return fmt.Errorf("checker: FastMode and RandomWalk are mutually exclusive engines — set MaxExecutions to size the FastMode run budget")
 		}
-	}
-	if c.RandomWalk > 0 && c.ResumeFrom != nil {
-		return fmt.Errorf("checker: RandomWalk cannot resume a checkpoint — checkpoints hold a DFS frontier; rerun the missing walk count instead")
 	}
 	if c.FastMode && c.Reduce.Any() {
 		return fmt.Errorf("checker: FastMode samples plausible executions with no decision tree, so the %s reduction has nothing to prune — drop Reduce or FastMode", c.Reduce)
 	}
-	if c.RandomWalk > 0 && (c.Reduce.RF || c.Reduce.Symmetry) {
-		return fmt.Errorf("checker: RandomWalk supports only the spinloop reduction — rf and symmetry prune DFS subtrees, which independent walks do not have (got Reduce=%s)", c.Reduce)
+	if c.TimeBudget < 0 {
+		return fmt.Errorf("checker: TimeBudget must be >= 0, got %v", c.TimeBudget)
+	}
+	if c.TimeBudget > 0 && !c.FastMode {
+		return fmt.Errorf("checker: TimeBudget %v applies only to FastMode — bound a DFS run with MaxExecutions or Interrupt instead", c.TimeBudget)
 	}
 	// A negative interval previously fell through every `> 0` guard and
-	// behaved as 0 (final snapshot only) while still routing the run
-	// through the work-stealing engine — reject it instead of silently
+	// behaved as 0 (final snapshot only) — reject it instead of silently
 	// reinterpreting it. An interval with no Checkpoint sink likewise
-	// forced the engine and ticked a snapshot loop whose output went
-	// nowhere; the caller who wanted periodic checkpoints got none.
+	// ticked a snapshot loop whose output went nowhere; the caller who
+	// wanted periodic checkpoints got none.
 	if c.CheckpointEvery < 0 {
 		return fmt.Errorf("checker: CheckpointEvery must be >= 0, got %v", c.CheckpointEvery)
 	}
@@ -281,12 +262,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("checker: CheckpointEvery %v has no Checkpoint sink to deliver snapshots to — set Config.Checkpoint (0 with a sink means final snapshot only)", c.CheckpointEvery)
 	}
 	return nil
-}
-
-// wantsEngine reports whether checkpoint/resume/interrupt plumbing
-// requires the work-stealing engine even at Parallelism <= 1.
-func (c *Config) wantsEngine() bool {
-	return c.Checkpoint != nil || c.CheckpointEvery > 0 || c.ResumeFrom != nil || c.Interrupt != nil
 }
 
 func (c *Config) withDefaults() *Config {
@@ -344,8 +319,8 @@ type Result struct {
 	// (false when MaxExecutions or StopAtFirst cut it short).
 	Exhausted bool `json:"exhausted"`
 	// Stats breaks down where the executions and time went. On exhaustive
-	// runs every field except the timings is bit-identical between
-	// sequential and parallel exploration.
+	// runs every field except the timings and scheduler telemetry is
+	// bit-identical at every Parallelism.
 	Stats Stats `json:"stats"`
 }
 
@@ -406,9 +381,18 @@ type decision struct {
 	// value-site records strictly below it stay valid when the node's
 	// chosen branch advances (for a value node it counts the node's own
 	// record, appended just before the node was created — the record is
-	// a function of the execution state, never of the choice). advance
-	// truncates the vlog validity to it when backtracking to the node.
+	// a function of the execution state, never of the choice).
+	// Repositioning the chooser on a sibling branch of the node truncates
+	// the vlog validity to it (see rewind).
 	callIdx int
+}
+
+// branchCount is the node's number of alternatives.
+func (d *decision) branchCount() int {
+	if d.kind == 's' {
+		return len(d.cands)
+	}
+	return d.n
 }
 
 // dfsChooser replays a decision prefix and extends it depth-first.
@@ -420,9 +404,9 @@ type dfsChooser struct {
 	// stats receives decision counters; the explorer points it at the
 	// Result the chooser's executions are folded into. Fresh decision
 	// nodes count as branch points, replayed ones as ReplayedDecisions —
-	// tallies that match sequential DFS exactly when a parallel worker
-	// replays a frozen prefix, because the worker's stack is the same
-	// stack sequential DFS holds inside that subtree.
+	// every task replays exactly its frozen prefix, the stack a stateless
+	// DFS holds at that leaf, so the tallies do not depend on which
+	// worker ran which task.
 	stats *Stats
 
 	// pin enables the frozen-prefix replay fast path: vlog records the
@@ -430,8 +414,8 @@ type dfsChooser struct {
 	// current execution in call order; positions below vvalid were
 	// recorded by a previous execution of the identical prefix and are
 	// served back (vpos is the cursor), positions at and past it are
-	// computed fresh and appended. advance rewinds vvalid to the
-	// backtracked node's callIdx — the calls before that node are the
+	// computed fresh and appended. rewind resets vvalid to the callIdx of
+	// the node whose branch changes — the calls before that node are the
 	// ones its new branch replays unchanged.
 	pin    bool
 	vlog   []floorRec
@@ -468,13 +452,12 @@ func (d *dfsChooser) noteFloor(rec floorRec) *floorRec {
 	return &d.vlog[d.vpos-1]
 }
 
-// rewindVlog resets the cursor for the next execution, keeping records
-// below the backtracked node's call position valid.
-func (d *dfsChooser) rewindVlog(nd *decision) {
+// rewind resets the cursor for the next execution, keeping the records
+// below call position v valid.
+func (d *dfsChooser) rewind(v int) {
 	if !d.pin {
 		return
 	}
-	v := nd.callIdx
 	if v > len(d.vlog) {
 		v = len(d.vlog)
 	}
@@ -537,8 +520,8 @@ func (d *dfsChooser) choose(n int, kind byte) int {
 
 // freshDecision reports whether the next decision would open a fresh
 // node, past any replayed prefix. Reduction checks and counters fire only
-// at fresh nodes, so sequential and parallel runs count alike and a
-// replay never re-checks the branch point it registered on first visit.
+// at fresh nodes, so runs count alike at every worker count and a replay
+// never re-checks the branch point it registered on first visit.
 func (d *dfsChooser) freshDecision() bool { return d.depth >= len(d.decisions) }
 
 func (d *dfsChooser) pickThread(s *System, enabled []*Thread) *Thread {
@@ -602,195 +585,45 @@ func (d *dfsChooser) pickThread(s *System, enabled []*Thread) *Thread {
 	return s.threads[cands[0]]
 }
 
-// advance moves to the next leaf of the decision tree; it reports false
-// when the space is exhausted.
-func (d *dfsChooser) advance() bool { return d.advanceFrom(0) }
-
-// advanceFrom is advance restricted to decisions at depth >= floor; the
-// prefix below floor is frozen. The parallel explorer uses it to keep a
-// worker inside its assigned subtree.
-func (d *dfsChooser) advanceFrom(floor int) bool {
-	for i := len(d.decisions) - 1; i >= floor; i-- {
-		nd := &d.decisions[i]
-		if nd.kind == 's' {
-			nd.explored = append(nd.explored, nd.cands[nd.chosen])
-			next := nextUnexplored(nd.cands, nd.explored)
-			if next >= 0 {
-				nd.chosen = next
-				d.decisions = d.decisions[:i+1]
-				d.depth = 0
-				d.rewindVlog(nd)
-				return true
-			}
-			continue // node exhausted: pop
-		}
-		if nd.chosen+1 < nd.n {
-			nd.chosen++
-			d.decisions = d.decisions[:i+1]
-			d.depth = 0
-			d.rewindVlog(nd)
-			return true
-		}
-	}
-	return false
-}
-
-// resetTo repositions the chooser on a frozen decision path — the
-// work-stealing engine's replacement for advance. The new path and the
-// chooser's current decisions agree up to their first differing choice;
-// value-site records recorded strictly below that node's call position
-// stay valid for replay pinning, exactly as rewindVlog arranges when
-// advance flips the same node. When the chooser carries no usable prefix
-// (fresh worker, or a steal that shares nothing) the vlog conservatively
-// invalidates entirely.
+// resetTo repositions the chooser on a frozen decision path. The new
+// path and the chooser's current decisions agree up to their first
+// differing choice; value-site records recorded strictly below that
+// node's call position stay valid for replay pinning. When the chooser
+// carries no usable prefix (fresh worker, or a steal that shares
+// nothing) the vlog conservatively invalidates entirely.
 func (d *dfsChooser) resetTo(path []decision) {
 	div := 0
 	for div < len(d.decisions) && div < len(path) &&
 		d.decisions[div].kind == path[div].kind && d.decisions[div].chosen == path[div].chosen {
 		div++
 	}
-	if d.pin {
-		v := 0
-		if div < len(d.decisions) {
-			// d.decisions[div] was replayed or created by the previous
-			// execution, so its callIdx is current (see choose).
-			v = d.decisions[div].callIdx
-			if v > len(d.vlog) {
-				v = len(d.vlog)
-			}
-		}
-		d.vvalid = v
-		d.vpos = 0
+	v := 0
+	if div < len(d.decisions) {
+		// d.decisions[div] was replayed or created by the previous
+		// execution, so its callIdx is current (see choose).
+		v = d.decisions[div].callIdx
 	}
+	d.rewind(v)
 	d.decisions = append(d.decisions[:0], path...)
 	d.depth = 0
 }
 
-// rootBranch identifies the branch of the root decision node the chooser
-// currently sits in (0 before any decision is recorded, or for a run with
-// a deterministic first choice). DFS advances the root node's chosen
-// branch monotonically, so a change in this value marks the boundary
-// between two subtrees of the root decision — the shard boundary.
-func (d *dfsChooser) rootBranch() int {
-	if len(d.decisions) == 0 {
-		return 0
+// flip repositions the chooser on branch n.branch of its own decision
+// node at depth n.depth, keeping the decisions above it — resetTo for the
+// common case where the next path differs from the current one only
+// there, without materializing the path. The caller guarantees that the
+// current decisions[:n.depth] are n's ancestry.
+func (d *dfsChooser) flip(n *fnode) {
+	k := n.depth
+	callIdx := d.decisions[k].callIdx // current: see resetTo
+	nd := decision{kind: n.kind, n: n.n, chosen: n.branch, callIdx: callIdx}
+	if n.kind == 's' {
+		// Full slice expression: explored must never append into cands.
+		nd.cands, nd.explored = n.cands, n.cands[:n.branch:n.branch]
 	}
-	return d.decisions[0].chosen
-}
-
-// nextUnexplored returns the index of the first candidate whose subtree
-// is not yet explored, or -1. Thread ids are small, so membership is one
-// bitmask over ids — O(cands + explored) — instead of the quadratic
-// scan-per-candidate it replaces (hot on wide scheduling nodes: the scan
-// runs at every backtrack). Ids past the mask width fall back to the
-// linear scan, which remains the reference implementation (benchmarked
-// against it in explorer_bench_test.go).
-func nextUnexplored(cands, explored []int) int {
-	var mask uint64
-	for _, tid := range explored {
-		if tid >= 64 {
-			return nextUnexploredSlow(cands, explored)
-		}
-		mask |= 1 << uint(tid)
-	}
-	for j, tid := range cands {
-		if tid >= 64 {
-			return nextUnexploredSlow(cands, explored)
-		}
-		if mask&(1<<uint(tid)) == 0 {
-			return j
-		}
-	}
-	return -1
-}
-
-// nextUnexploredSlow is the pre-bitmask scan, kept as the fallback for
-// thread ids beyond the mask width.
-func nextUnexploredSlow(cands, explored []int) int {
-	for j, tid := range cands {
-		if !contains(explored, tid) {
-			return j
-		}
-	}
-	return -1
-}
-
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-// randChooser draws every decision uniformly at random.
-type randChooser struct {
-	rng        *rand.Rand
-	disableRF  bool
-	stats      *Stats
-	scratchRec floorRec
-}
-
-// pinnedFloor: random walks never replay a prefix, so value sites always
-// compute fresh.
-func (r *randChooser) pinnedFloor() (*floorRec, bool) { return nil, false }
-
-// freshDecision: walks never replay, so every decision is fresh.
-func (r *randChooser) freshDecision() bool { return true }
-
-func (r *randChooser) noteFloor(rec floorRec) *floorRec {
-	r.scratchRec = rec
-	return &r.scratchRec
-}
-
-func (r *randChooser) choose(n int, kind byte) int {
-	if n <= 1 {
-		return 0
-	}
-	if r.disableRF && (kind == 'r' || kind == 'c') {
-		if kind == 'r' {
-			return n - 1
-		}
-		return 0
-	}
-	if r.stats != nil {
-		// Random walks never replay, so every multi-way decision is a
-		// branch point.
-		if kind == 'l' {
-			r.stats.ScheduleBranchPoints++
-		} else {
-			r.stats.RFBranchPoints++
-		}
-	}
-	return r.rng.Intn(n)
-}
-
-func (r *randChooser) pickThread(s *System, enabled []*Thread) *Thread {
-	if s.cfg.Reduce.Spinloop {
-		// Drop provably futile spinners unless that would drop everyone
-		// (the remaining futile spinners still drive livelock detection).
-		live := 0
-		for _, t := range enabled {
-			if !s.spinBlocked(t) {
-				live++
-			}
-		}
-		if live > 0 && live < len(enabled) {
-			s.redSpinBounds += len(enabled) - live
-			out := enabled[:0]
-			for _, t := range enabled {
-				if !s.spinBlocked(t) {
-					out = append(out, t)
-				}
-			}
-			enabled = out
-		}
-	}
-	if r.stats != nil && len(enabled) > 1 {
-		r.stats.ScheduleBranchPoints++
-	}
-	return enabled[r.rng.Intn(len(enabled))]
+	d.decisions = append(d.decisions[:k], nd)
+	d.depth = 0
+	d.rewind(callIdx)
 }
 
 // record folds a failure into the result, retaining at most maxFailures.
@@ -801,15 +634,17 @@ func (r *Result) record(f *Failure, maxFailures int) {
 	}
 }
 
-// runOne performs one execution under ch and folds it into res, using
-// res.Executions as the 1-based execution index. scratch is the shard
-// state exposed as System.Scratch (nil when Config.NewScratch is unset);
-// pool is the shard's execution pool (nil when pooling is disabled).
-// It reports whether the execution failed.
-func runOne(c *Config, res *Result, ch chooser, root func(*Thread), scratch any, pool *execPool) bool {
+// runOne performs one execution under ch and folds it into res. execIndex
+// is the execution's 1-based index within the exploration (System.ExecIndex);
+// failures are numbered within res instead (res.Executions after the
+// increment), since a region's results are renumbered when it is folded.
+// scratch is the shard state exposed as System.Scratch (nil when
+// Config.NewScratch is unset); pool is the worker's execution pool (nil
+// when pooling is disabled). It reports whether the execution failed.
+func runOne(c *Config, res *Result, ch chooser, root func(*Thread), scratch any, pool *execPool, execIndex int) bool {
 	res.Executions++
 	exploreStart := time.Now()
-	sys := runExecution(c, ch, root, res.Executions, scratch, pool)
+	sys := runExecution(c, ch, root, execIndex, scratch, pool)
 	res.Stats.ExploreTime += time.Since(exploreStart)
 	res.Stats.TotalSteps += sys.stepCount
 	res.Stats.StoreBufferEvictions += sys.evictions
@@ -837,6 +672,7 @@ func runOne(c *Config, res *Result, ch chooser, root func(*Thread), scratch any,
 			res.Stats.PrunedSleepSet++
 		}
 	case sys.failure != nil:
+		sys.failure.Execution = res.Executions
 		res.record(sys.failure, c.MaxFailures)
 		failed = true
 		failures = 1
@@ -881,16 +717,6 @@ func (c *Config) newScratch() any {
 	return c.NewScratch()
 }
 
-// randomWalkBudget returns the number of random-walk executions to run,
-// honoring MaxExecutions.
-func (c *Config) randomWalkBudget() int {
-	n := c.RandomWalk
-	if c.MaxExecutions > 0 && c.MaxExecutions < n {
-		n = c.MaxExecutions
-	}
-	return n
-}
-
 // newDFSChooser builds a chooser for exhaustive exploration under c.
 func newDFSChooser(c *Config) *dfsChooser {
 	return &dfsChooser{
@@ -901,7 +727,9 @@ func newDFSChooser(c *Config) *dfsChooser {
 }
 
 // Explore enumerates executions of root under cfg and returns the
-// aggregated result.
+// aggregated result. It has two engines: FastMode samples runs (see
+// Config.FastMode), and everything else runs the work-stealing DFS engine
+// (worksteal.go) at any Parallelism.
 func Explore(cfg Config, root func(*Thread)) *Result {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
@@ -914,59 +742,18 @@ func Explore(cfg Config, root func(*Thread)) *Result {
 		}
 		defer c.progress.close()
 	}
-	// Engine routing — the precedence documented on Config.RandomWalk:
-	// FastMode > RandomWalk > work-stealing engine > sequential DFS.
-	// (Before this was pinned, RandomWalk > 0 with Parallelism > 1
-	// silently routed into the parallel DFS branch's walk shards.)
-	switch {
-	case c.FastMode:
+	if c.FastMode {
 		return exploreFast(c, root)
-	case c.RandomWalk > 0:
-		return exploreRandomWalk(c, root)
-	case c.Parallelism > 1 || c.wantsEngine():
-		return exploreParallel(c, root)
 	}
-	res := &Result{}
 	start := time.Now()
-	defer func() { res.Elapsed = time.Since(start) }()
-	defer func() {
-		if c.rfSeen != nil {
-			// Exact final class count (the per-run snapshots in runOne are
-			// monotone but may trail the registry).
-			res.Stats.RFClasses = int(c.rfSeen.classes.Load())
-		}
-	}()
-
-	d := newDFSChooser(c)
-	d.stats = &res.Stats
-	// Each branch of the root decision node is one shard — the same
-	// partition parallel DFS uses for its tasks, so shard-scoped state
-	// (spec caches) behaves identically in both modes. The execution pool
-	// is per worker, not per shard: its contents are mechanical (the spec
-	// monitor it carries is reset by every execution's Install), so one
-	// pool serves every branch, as it serves every task of a
-	// work-stealing worker.
-	scratch := c.newScratch()
-	pool := newExecPool(c)
-	defer pool.close()
-	branch := d.rootBranch()
-	for {
-		failed := runOne(c, res, d, root, scratch, pool)
-		if failed && c.StopAtFirst {
-			return res
-		}
-		if c.MaxExecutions > 0 && res.Executions >= c.MaxExecutions {
-			return res
-		}
-		if !d.advance() {
-			res.Exhausted = true
-			return res
-		}
-		if rb := d.rootBranch(); rb != branch {
-			branch = rb
-			scratch = c.newScratch()
-		}
-	}
+	res := exploreWorkSteal(c, root)
+	// Elapsed is the run's wall clock plus, for resumed runs, the base the
+	// engine restored from the checkpoint. The fold never adds per-worker
+	// timings into it (a per-worker sum can exceed wall clock by a factor
+	// of Parallelism); the Stats timing fields, by contrast, are
+	// cumulative across workers by design.
+	res.Elapsed += time.Since(start)
+	return res
 }
 
 // runExecution performs a single execution under the given chooser,

@@ -10,7 +10,7 @@ import (
 // fresh schedule and reads-from assignment from a biased sampler seeded
 // by (Config.Seed, run index), so a fixed budget produces bit-identical
 // results at any Parallelism (workers own contiguous index blocks merged
-// in block order, exactly like exploreRandomWalk). The per-run state the
+// in block order). The per-run state the
 // System retains is bounded: per-location store buffers hold at most
 // StoreBound stores (system.go maybeEvict), the action trace is not
 // recorded (system.go recordFast), and actions/clocks recycle through
@@ -18,9 +18,9 @@ import (
 // pool).
 
 // derivedSeed maps (seed, run index) to an independent 64-bit stream
-// seed via the splitmix64 finalizer. Both the random-walk and fast-mode
-// engines key every run's decisions on this value alone, which is what
-// makes results independent of how runs are distributed over workers.
+// seed via the splitmix64 finalizer. Fast mode keys every run's
+// decisions on this value alone, which is what makes results independent
+// of how runs are distributed over workers.
 func derivedSeed(seed int64, i int) uint64 {
 	z := uint64(seed) + (uint64(i)+1)*0x9E3779B97F4A7C15
 	z ^= z >> 30
@@ -95,7 +95,7 @@ func (f *fastChooser) choose(n int, kind byte) int {
 	}
 	if f.stats != nil {
 		// Fast runs never replay, so every multi-way decision is a
-		// branch point (mirrors randChooser).
+		// branch point.
 		if kind == 'l' {
 			f.stats.ScheduleBranchPoints++
 		} else {
@@ -152,9 +152,9 @@ func (c *Config) fastRunBudget() int {
 	return 1000
 }
 
-// exploreFast is Explore for fast mode. It shares the sharding and merge
-// discipline of exploreRandomWalk — contiguous run-index blocks per
-// worker, per-run derived seeds, block-order merge — so the Result is
+// exploreFast is Explore for fast mode. It shards the run budget into
+// contiguous run-index blocks per worker, with per-run derived seeds and a
+// block-order merge, so the Result is
 // bit-identical (modulo timing fields) across Parallelism settings for a
 // fixed budget. TimeBudget, StopAtFirst and Interrupt cut the run
 // sequence between runs; with Parallelism > 1 the cut point is
@@ -187,8 +187,7 @@ func exploreFast(c *Config, root func(*Thread)) *Result {
 		fastBlock(c, res, root, 0, total, deadline, nil)
 		return res
 	}
-	b := newBounds(0, 0)
-	defer b.cancel()
+	b := &bounds{}
 	starts := make([]int, workers+1)
 	for w := 0; w < workers; w++ {
 		n := total / workers
@@ -209,7 +208,7 @@ func exploreFast(c *Config, root func(*Thread)) *Result {
 
 // fastBlock runs fast-mode run indices [from, to) into res, reseeding
 // the chooser per index. deadline (zero = none) is the TimeBudget cutoff;
-// b (nil when sequential) carries StopAtFirst/TimeBudget cancellation.
+// b (nil at one worker) carries StopAtFirst/TimeBudget cancellation.
 func fastBlock(c *Config, res *Result, root func(*Thread), from, to int, deadline time.Time, b *bounds) {
 	ch := &fastChooser{disableRF: c.DisableStaleReads, stats: &res.Stats}
 	pool := newExecPool(c)
@@ -233,7 +232,7 @@ func fastBlock(c *Config, res *Result, root func(*Thread), from, to int, deadlin
 		}
 		ch.reseed(derivedSeed(c.Seed, i))
 		scratch := c.newScratch() // each run is one shard
-		failed := runOne(c, res, ch, root, scratch, pool)
+		failed := runOne(c, res, ch, root, scratch, pool, i+1)
 		if failed && c.StopAtFirst {
 			if b != nil {
 				b.cancel()

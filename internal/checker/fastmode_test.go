@@ -81,23 +81,6 @@ func TestFastModeParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRandomWalkParallelBitIdentical: the routing/sharding fix — random
-// walks are now seed-stable at any Parallelism instead of silently
-// falling into the DFS engine when Parallelism > 1.
-func TestRandomWalkParallelBitIdentical(t *testing.T) {
-	want := ""
-	for _, par := range []int{1, 4, 16} {
-		got := fingerprint(Explore(Config{RandomWalk: 60, Seed: 5, Parallelism: par}, manyExecProgram))
-		if want == "" {
-			want = got
-			continue
-		}
-		if got != want {
-			t.Errorf("parallelism %d diverged:\n got %s\nwant %s", par, got, want)
-		}
-	}
-}
-
 // TestFastModePoolingInvisible: pooled and unpooled fast runs produce
 // bit-identical results — the free-list recycling and between-run sweep
 // must not leak state into the next run.

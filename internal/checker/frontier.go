@@ -8,7 +8,7 @@ import (
 // This file implements the decision frontier of the work-stealing
 // explorer: the set of unexplored decision-tree branches, each tagged
 // with its canonical decision path, plus the ordered fold list that
-// merges per-branch results back into the sequential DFS order.
+// merges per-branch results back into the canonical DFS order.
 //
 // A frontier entry (wsTask) is one unexplored branch of one decision
 // node, identified by the frozen path from the root to that branch. A
@@ -17,8 +17,7 @@ import (
 // (the chooser's fresh-node default), and reaches one leaf. Every fresh
 // multi-way node discovered along the way contributes its remaining
 // branches as new frontier entries. Leaves therefore correspond one-to-
-// one with (node, branch) pairs, the same bijection sequential DFS walks
-// with advance().
+// one with (node, branch) pairs.
 
 // fnode is one decision along a task's frozen path. Paths share their
 // ancestry: sibling tasks point at the same parent chain, so the frontier
@@ -38,28 +37,29 @@ type fnode struct {
 	branch int
 }
 
-// branchCount is the node's number of alternatives.
-func (n *fnode) branchCount() int {
-	if n.kind == 's' {
-		return len(n.cands)
-	}
-	return n.n
-}
-
 // wsTask is one frontier entry: the unexplored branch identified by the
 // path ending at node (nil = the root task, the empty path).
 type wsTask struct {
 	node *fnode
-	// cell is the task's slot in the fold list, assigned when the cell is
-	// spliced in (before the task becomes stealable).
+	// cell is the task's slot in the fold list, spliced in before the
+	// task becomes stealable.
 	cell *foldCell
 }
 
+// wsBranch is one branch of a decision node, allocated together with the
+// node's other branches: the branch's path node plus the task and fold
+// cell that explore it (unused for the branch the opening execution took).
+type wsBranch struct {
+	node fnode
+	task wsTask
+	cell foldCell
+}
+
 // path materializes the frozen decision path as a chooser prefix. For
-// 's' nodes the explored set is cands[:branch]: sequential DFS explores
-// candidates in cands order, so by the time it reaches branch b exactly
-// the candidates before b are explored — replaying them asleep preserves
-// the sleep-set reduction bit-for-bit.
+// 's' nodes the explored set is cands[:branch]: DFS explores candidates
+// in cands order, so by the time it reaches branch b exactly the
+// candidates before b are explored — replaying them asleep is the
+// sleep-set reduction.
 func (t *wsTask) path() []decision {
 	depth := 0
 	for n := t.node; n != nil; n = n.parent {
@@ -71,24 +71,11 @@ func (t *wsTask) path() []decision {
 		d := decision{kind: n.kind, n: n.n, chosen: n.branch}
 		if n.kind == 's' {
 			d.cands = n.cands
-			d.explored = n.cands[:n.branch]
+			d.explored = n.cands[:n.branch:n.branch]
 		}
 		out[depth] = d
 	}
 	return out
-}
-
-// rootBranch is the branch taken at the root decision node — the shard
-// the task belongs to (see Config.NewScratch). The empty path is shard 0.
-func (t *wsTask) rootBranch() int {
-	n := t.node
-	for n != nil && n.parent != nil {
-		n = n.parent
-	}
-	if n == nil {
-		return 0
-	}
-	return n.branch
 }
 
 // foldCell is one slot of the fold list: either a completed region's
@@ -103,11 +90,11 @@ type foldCell struct {
 // linked alternation of done results and pending tasks, kept in canonical
 // decision-path order. Completing a task replaces its cell with the
 // leaf's result followed by its newly discovered subtasks (in the order
-// sequential DFS would visit them) and coalesces adjacent done cells, so
-// when the frontier drains the list collapses to a single cell holding
-// the bit-identical sequential Result — regardless of which worker ran
-// which task in which order. The list is also the checkpoint: its cell
-// sequence is exactly the state a resumed run needs.
+// DFS would visit them) and coalesces adjacent done cells, so when the
+// frontier drains the list collapses to a single cell holding the
+// canonical Result — regardless of which worker ran which task in which
+// order. The list is also the checkpoint: its cell sequence is exactly
+// the state a resumed run needs.
 type foldList struct {
 	mu          sync.Mutex
 	head, tail  *foldCell
@@ -116,10 +103,6 @@ type foldList struct {
 	// (atomic so the progress tracker can read it without the lock).
 	pending     atomic.Int64
 	maxFrontier int
-}
-
-func newFoldList(maxFailures int) *foldList {
-	return &foldList{maxFailures: maxFailures}
 }
 
 // appendCell links c at the tail (used only while building the initial
@@ -143,10 +126,12 @@ func (l *foldList) appendCell(c *foldCell) {
 
 // complete turns t's cell into the leaf result, splices in the subtasks
 // discovered during the execution (already in fold order: deepest fresh
-// node first, branches ascending), and coalesces adjacent done cells.
-// Subtasks get their cell assigned here, before the caller publishes them
-// to any deque.
-func (l *foldList) complete(t *wsTask, leaf *Result, subs []*wsTask) {
+// node first, branches ascending; each carries its own cell), and
+// coalesces adjacent done cells. It reports whether the list kept leaf:
+// when t's left neighbour is done, leaf merges into it and the caller may
+// reuse leaf. The subtasks are linked here, before the caller publishes
+// them to any deque.
+func (l *foldList) complete(t *wsTask, leaf *Result, subs []*wsTask) (kept bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	c := t.cell
@@ -154,28 +139,31 @@ func (l *foldList) complete(t *wsTask, leaf *Result, subs []*wsTask) {
 	c.res = leaf
 	cursor := c
 	for _, s := range subs {
-		nc := &foldCell{task: s, prev: cursor, next: cursor.next}
+		nc := s.cell
+		nc.task, nc.prev, nc.next = s, cursor, cursor.next
 		if cursor.next != nil {
 			cursor.next.prev = nc
 		} else {
 			l.tail = nc
 		}
 		cursor.next = nc
-		s.cell = nc
 		cursor = nc
 	}
 	n := l.pending.Add(int64(len(subs) - 1))
 	if int(n) > l.maxFrontier {
 		l.maxFrontier = int(n)
 	}
+	kept = c.prev == nil || c.prev.res == nil
 	l.coalesce(c)
+	return kept
 }
 
 // coalesce merges c with adjacent done cells. Merging right-into-left in
-// list order reproduces the sequential failure numbering and retention:
+// list order reproduces the canonical failure numbering and retention:
 // the right region's failure indices shift by the left region's
 // execution count, and the concatenation is re-capped at maxFailures —
-// exactly what Result.record would have kept running sequentially.
+// exactly what Result.record would have kept counting both regions into
+// one Result.
 func (l *foldList) coalesce(c *foldCell) {
 	for c.prev != nil && c.prev.res != nil {
 		p := c.prev
@@ -186,6 +174,7 @@ func (l *foldList) coalesce(c *foldCell) {
 		} else {
 			l.tail = p
 		}
+		c.detach()
 		c = p
 	}
 	for c.next != nil && c.next.res != nil {
@@ -197,8 +186,14 @@ func (l *foldList) coalesce(c *foldCell) {
 		} else {
 			l.tail = c
 		}
+		n.detach()
 	}
 }
+
+// detach clears an unlinked cell. The cell shares its allocation with a
+// frontier node that may stay reachable as an ancestor of live tasks, so
+// stale links would keep merged-away regions of the list alive.
+func (c *foldCell) detach() { *c = foldCell{} }
 
 // pendingCount is the number of outstanding task cells.
 func (l *foldList) pendingCount() int { return int(l.pending.Load()) }
@@ -210,19 +205,27 @@ func (l *foldList) frontierHighWater() int {
 	return l.maxFrontier
 }
 
-// foldResult folds the done cells in list order into a fresh Result,
-// skipping pending cells (present only when the run was cut short). On a
-// drained frontier the list is a single done cell and the fold is the
-// identity. Destructive on the cell results; call once, after any final
-// checkpoint has been serialized.
+// foldResult folds the done cells in list order into the first one,
+// skipping pending cells (present only when the run was cut short), and
+// returns it (a fresh Result when nothing is done). On a drained frontier
+// the list is a single done cell and the fold is the identity.
+// Destructive on the cell results; call once, after any final checkpoint
+// has been serialized.
 func (l *foldList) foldResult() *Result {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := &Result{}
+	var out *Result
 	for c := l.head; c != nil; c = c.next {
-		if c.res != nil {
+		switch {
+		case c.res == nil:
+		case out == nil:
+			out = c.res
+		default:
 			mergeResults(out, c.res, l.maxFailures)
 		}
+	}
+	if out == nil {
+		out = &Result{}
 	}
 	return out
 }
@@ -230,7 +233,7 @@ func (l *foldList) foldResult() *Result {
 // mergeResults folds src into dst, offsetting src's failure indices by
 // dst's execution count — src's region follows dst's in canonical order.
 // Elapsed is deliberately not folded (wall clock is owned by the
-// engine); everything else adds, mirroring the sequential accumulation.
+// engine); everything else adds, as runOne accumulates.
 func mergeResults(dst, src *Result, maxFailures int) {
 	for _, f := range src.Failures {
 		f.Execution += dst.Executions

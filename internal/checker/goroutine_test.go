@@ -83,17 +83,13 @@ func TestExploreLeavesNoGoroutines(t *testing.T) {
 		{name: "worksteal-4", cfg: Config{Parallelism: 4}, prog: manyExecProgram},
 		{name: "fast", cfg: Config{FastMode: true, MaxExecutions: 50}, prog: manyExecProgram},
 		{name: "fast-4", cfg: Config{FastMode: true, MaxExecutions: 50, Parallelism: 4}, prog: manyExecProgram},
-		{name: "randomwalk", cfg: Config{RandomWalk: 50}, prog: manyExecProgram},
-		{name: "randomwalk-4", cfg: Config{RandomWalk: 50, Parallelism: 4}, prog: manyExecProgram},
 		{name: "stop-at-first", cfg: Config{StopAtFirst: true}, prog: failingProgram, wantFail: true},
 		{name: "stop-at-first-4", cfg: Config{StopAtFirst: true, Parallelism: 4}, prog: failingProgram, wantFail: true},
 		{name: "stop-at-first-fast", cfg: Config{StopAtFirst: true, FastMode: true, MaxExecutions: 500}, prog: failingProgram, wantFail: true},
-		{name: "stop-at-first-walk", cfg: Config{StopAtFirst: true, RandomWalk: 500}, prog: failingProgram, wantFail: true},
 		{name: "max-executions", cfg: Config{MaxExecutions: 3}, prog: manyExecProgram},
 		{name: "max-executions-4", cfg: Config{MaxExecutions: 3, Parallelism: 4}, prog: manyExecProgram},
 		{name: "interrupt", cfg: Config{Interrupt: closed}, prog: manyExecProgram},
 		{name: "interrupt-fast", cfg: Config{Interrupt: closed, FastMode: true}, prog: manyExecProgram},
-		{name: "interrupt-walk", cfg: Config{Interrupt: closed, RandomWalk: 50}, prog: manyExecProgram},
 		{name: "user-panic", prog: panicProgram, wantFail: true},
 		{name: "user-panic-4", cfg: Config{Parallelism: 4}, prog: panicProgram, wantFail: true},
 		{name: "goexit", prog: goexitProgram},

@@ -656,19 +656,6 @@ func TestMaxExecutionsBound(t *testing.T) {
 	}
 }
 
-// TestRandomWalk: the random walk mode runs the requested number of
-// executions.
-func TestRandomWalk(t *testing.T) {
-	res := Explore(Config{RandomWalk: 25, Seed: 42}, func(root *Thread) {
-		x := root.NewAtomicInit("x", 0)
-		a := root.Spawn("a", func(tt *Thread) { x.Store(tt, memmodel.Relaxed, 1) })
-		root.Join(a)
-	})
-	if res.Executions != 25 {
-		t.Errorf("expected 25 random executions, got %v", res)
-	}
-}
-
 // TestDisableStaleReads: with stale reads disabled, relaxed MP cannot lose
 // the payload — the ablation that shows why rf-branching matters.
 func TestDisableStaleReads(t *testing.T) {

@@ -326,15 +326,14 @@ func TestModelScanAgreesWithCachedFloor(t *testing.T) {
 	}
 }
 
-// TestModelEnginesAgree: RandomWalk and FastMode runs under sc/scatomics
-// must be feasible and respect the model (no run of a relaxed SB walk may
-// report the weak outcome under sc) — the backends are engine-independent.
+// TestModelEnginesAgree: FastMode runs under sc must be feasible and
+// respect the model (no run of a relaxed SB program may report the weak
+// outcome under sc) — the backends are engine-independent.
 func TestModelEnginesAgree(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
-		{"random-walk", Config{Model: model.SC, RandomWalk: 200, Seed: 11}},
 		{"fast-mode", Config{Model: model.SC, FastMode: true, MaxExecutions: 200, Seed: 11}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -192,19 +192,6 @@ func manyExecProgram(root *Thread) {
 	root.Join(b)
 }
 
-// TestRandomWalkHonorsMaxExecutions: the walk budget is min(RandomWalk,
-// MaxExecutions). The old loop ignored MaxExecutions entirely.
-func TestRandomWalkHonorsMaxExecutions(t *testing.T) {
-	res := Explore(Config{RandomWalk: 100, MaxExecutions: 7, Seed: 1}, manyExecProgram)
-	if res.Executions != 7 {
-		t.Errorf("random walk ran %d executions, want 7", res.Executions)
-	}
-	res = Explore(Config{RandomWalk: 5, MaxExecutions: 100, Seed: 1}, manyExecProgram)
-	if res.Executions != 5 {
-		t.Errorf("random walk ran %d executions, want 5", res.Executions)
-	}
-}
-
 // TestDFSHonorsMaxExecutions: DFS stops exactly at the bound, sequential
 // and parallel alike.
 func TestDFSHonorsMaxExecutions(t *testing.T) {
@@ -278,45 +265,50 @@ func TestLivelockWithJoiningParent(t *testing.T) {
 
 // --- Parallel determinism ---------------------------------------------
 
-// compareParallel runs prog exhaustively with Parallelism 1 and n and
-// requires identical Executions/Feasible/Pruned/Exhausted, identical
+// engineWorkers are the worker counts the determinism suites run the
+// engine at.
+var engineWorkers = []int{1, 4, 16}
+
+// compareEngine runs prog exhaustively under the reference sequential DFS
+// (reference_test.go) and under the engine at every engineWorkers count,
+// and requires identical Executions/Feasible/Pruned/Exhausted, identical
 // retained failures (kind and execution index), and bit-identical Stats —
 // with only the wall-clock fields (Elapsed and the Stats timing split)
-// exempt from identity, since parallel workers accumulate those
-// concurrently.
-func compareParallel(t *testing.T, name string, n int, cfg Config, prog func(*Thread)) {
+// and the scheduler telemetry exempt from identity, since workers
+// accumulate those concurrently.
+func compareEngine(t *testing.T, name string, cfg Config, prog func(*Thread)) {
 	t.Helper()
-	seq := Explore(cfg, prog)
-	pcfg := cfg
-	pcfg.Parallelism = n
-	par := Explore(pcfg, prog)
-	if seq.Executions != par.Executions || seq.Feasible != par.Feasible ||
-		seq.Pruned != par.Pruned || seq.Exhausted != par.Exhausted {
-		t.Errorf("%s: counts differ: sequential %v, parallel(%d) %v", name, seq, n, par)
-	}
-	if seq.Stats.WithoutTimings() != par.Stats.WithoutTimings() {
-		t.Errorf("%s: stats differ:\n  sequential: %+v\n  parallel(%d): %+v",
-			name, seq.Stats.WithoutTimings(), n, par.Stats.WithoutTimings())
-	}
-	for _, r := range []*Result{seq, par} {
-		if got := r.Stats.PrunedSleepSet + r.Stats.PrunedFairness + r.Stats.PrunedStepBound; got != r.Pruned {
-			t.Errorf("%s: prune-reason split %d does not sum to Pruned %d", name, got, r.Pruned)
+	ref := referenceExplore(cfg, prog)
+	for _, n := range engineWorkers {
+		pcfg := cfg
+		pcfg.Parallelism = n
+		par := Explore(pcfg, prog)
+		if ref.Executions != par.Executions || ref.Feasible != par.Feasible ||
+			ref.Pruned != par.Pruned || ref.Exhausted != par.Exhausted {
+			t.Errorf("%s: counts differ: reference %v, engine(%d) %v", name, ref, n, par)
 		}
-	}
-	// The timing exemption: both runs still measure real wall clock.
-	if seq.Elapsed <= 0 || par.Elapsed <= 0 || seq.Stats.ExploreTime <= 0 || par.Stats.ExploreTime <= 0 {
-		t.Errorf("%s: timing fields should be positive: seq %v/%v, par %v/%v",
-			name, seq.Elapsed, seq.Stats.ExploreTime, par.Elapsed, par.Stats.ExploreTime)
-	}
-	if seq.FailureCount != par.FailureCount || len(seq.Failures) != len(par.Failures) {
-		t.Errorf("%s: failure counts differ: sequential %v, parallel(%d) %v", name, seq, n, par)
-		return
-	}
-	for i := range seq.Failures {
-		sf, pf := seq.Failures[i], par.Failures[i]
-		if sf.Kind != pf.Kind || sf.Execution != pf.Execution {
-			t.Errorf("%s: failure %d differs: sequential %v@%d, parallel %v@%d",
-				name, i, sf.Kind, sf.Execution, pf.Kind, pf.Execution)
+		if ref.Stats.WithoutTimings() != par.Stats.WithoutTimings() {
+			t.Errorf("%s: stats differ:\n  reference: %+v\n  engine(%d): %+v",
+				name, ref.Stats.WithoutTimings(), n, par.Stats.WithoutTimings())
+		}
+		if got := par.Stats.PrunedSleepSet + par.Stats.PrunedFairness + par.Stats.PrunedStepBound; got != par.Pruned {
+			t.Errorf("%s: engine(%d) prune-reason split %d does not sum to Pruned %d", name, n, got, par.Pruned)
+		}
+		// The timing exemption: both runs still measure real wall clock.
+		if ref.Elapsed <= 0 || par.Elapsed <= 0 || ref.Stats.ExploreTime <= 0 || par.Stats.ExploreTime <= 0 {
+			t.Errorf("%s: timing fields should be positive: reference %v/%v, engine(%d) %v/%v",
+				name, ref.Elapsed, ref.Stats.ExploreTime, n, par.Elapsed, par.Stats.ExploreTime)
+		}
+		if ref.FailureCount != par.FailureCount || len(ref.Failures) != len(par.Failures) {
+			t.Errorf("%s: failure counts differ: reference %v, engine(%d) %v", name, ref, n, par)
+			continue
+		}
+		for i := range ref.Failures {
+			rf, pf := ref.Failures[i], par.Failures[i]
+			if rf.Kind != pf.Kind || rf.Execution != pf.Execution {
+				t.Errorf("%s: failure %d differs: reference %v@%d, engine(%d) %v@%d",
+					name, i, rf.Kind, rf.Execution, n, pf.Kind, pf.Execution)
+			}
 		}
 	}
 }
@@ -324,11 +316,11 @@ func compareParallel(t *testing.T, name string, n int, cfg Config, prog func(*Th
 func TestParallelDFSDeterminism(t *testing.T) {
 	// Store buffering: pure scheduling + reads-from nondeterminism, no
 	// failures.
-	compareParallel(t, "store-buffering", 4, Config{}, manyExecProgram)
+	compareEngine(t, "store-buffering", Config{}, manyExecProgram)
 
 	// Message passing with a racy plain payload: data-race failures must
 	// appear at identical execution indices.
-	compareParallel(t, "mp-race", 4, Config{}, func(root *Thread) {
+	compareEngine(t, "mp-race", Config{}, func(root *Thread) {
 		x := root.NewPlainInit("x", 0)
 		flag := root.NewAtomicInit("flag", 0)
 		w := root.Spawn("writer", func(tt *Thread) {
@@ -346,7 +338,7 @@ func TestParallelDFSDeterminism(t *testing.T) {
 
 	// Fence-synchronized MP with seq_cst stores mixed in: exercises the
 	// fence dependence path and SC ordering under the sleep set.
-	compareParallel(t, "fence-mp-sc", 3, Config{}, func(root *Thread) {
+	compareEngine(t, "fence-mp-sc", Config{}, func(root *Thread) {
 		x := root.NewAtomicInit("x", 0)
 		y := root.NewAtomicInit("y", 0)
 		a := root.Spawn("a", func(tt *Thread) {
@@ -365,7 +357,7 @@ func TestParallelDFSDeterminism(t *testing.T) {
 
 	// Lock-cycle deadlock: failure kinds and indices must merge in
 	// branch order.
-	compareParallel(t, "deadlock", 4, Config{MaxFailures: 1 << 20}, func(root *Thread) {
+	compareEngine(t, "deadlock", Config{MaxFailures: 1 << 20}, func(root *Thread) {
 		m1 := root.NewMutex("m1")
 		m2 := root.NewMutex("m2")
 		a := root.Spawn("a", func(tt *Thread) {
@@ -426,24 +418,6 @@ func TestParallelOutcomeSets(t *testing.T) {
 	}
 	if !contains2(seq, "r0=0 r1=0") {
 		t.Errorf("store buffering outcome missing (relaxed atomics admit it): %v", seq)
-	}
-}
-
-// TestParallelRandomWalk: the sharded walk runs exactly the budgeted
-// number of executions.
-func TestParallelRandomWalk(t *testing.T) {
-	res := Explore(Config{RandomWalk: 200, Seed: 42, Parallelism: 4}, manyExecProgram)
-	if res.Executions != 200 {
-		t.Errorf("parallel random walk ran %d executions, want 200", res.Executions)
-	}
-	res = Explore(Config{RandomWalk: 200, MaxExecutions: 50, Seed: 42, Parallelism: 4}, manyExecProgram)
-	if res.Executions != 50 {
-		t.Errorf("bounded parallel random walk ran %d executions, want 50", res.Executions)
-	}
-	// More workers than walks must not deadlock or overrun.
-	res = Explore(Config{RandomWalk: 3, Seed: 7, Parallelism: 16}, manyExecProgram)
-	if res.Executions != 3 {
-		t.Errorf("oversubscribed parallel random walk ran %d executions, want 3", res.Executions)
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 // from scratch.
 //
 // A pool is single-threaded: it belongs to exactly one worker goroutine
-// (sequential DFS, one work-stealing worker, one fast-mode or random-walk
-// block), which defers close to stop the thread goroutines. Pooling is
+// (one work-stealing worker, or one fast-mode block), which defers close
+// to stop the thread goroutines. Pooling is
 // invisible to results: a pooled run is bit-identical to an unpooled one
 // (pinned by tests), because every recycled object is fully reset or
 // fully overwritten before reuse.

@@ -5,14 +5,14 @@ import "time"
 // Stats breaks down where an exploration's executions and time went, the
 // observability layer behind the paper's Figure 7 "seconds per benchmark"
 // claim: without it a partial-order-reduction regression is
-// indistinguishable from a spec-checking slowdown. All counters are
-// bit-identical between an exhaustive sequential run and an exhaustive
-// parallel run (the merge sums them in branch order); only the timing
-// fields differ, since parallel workers accumulate wall clock
-// concurrently. (One exception: with Reduce.RF enabled at Parallelism > 1
-// the prune/execution split depends on which racing worker registers a
-// state first — the behavior set and RFClasses stay invariant, the
-// counters do not.)
+// indistinguishable from a spec-checking slowdown. All counters of an
+// exhaustive run are bit-identical at every worker count (the fold sums
+// them in branch order); only the timing fields and the scheduler
+// telemetry differ, since workers accumulate wall clock concurrently and
+// carve the frontier by scheduling. (One exception: with Reduce.RF
+// enabled at Parallelism > 1 the prune/execution split depends on which
+// racing worker registers a state first — the behavior set and RFClasses
+// stay invariant, the counters do not.)
 type Stats struct {
 	// Prune-reason split of Result.Pruned; together with RFEquivPrunes
 	// below, the reasons always sum to it.
@@ -78,11 +78,11 @@ type Stats struct {
 	// Spec-check memoization counters. The spec layer caches the full
 	// check result keyed by a canonical fingerprint of each execution's
 	// spec-relevant content, so equivalent executions cost one lookup.
-	// Caches are per exploration shard (Config.NewScratch): sequential
-	// DFS opens one shard per root-decision branch — exactly the subtree
-	// a parallel DFS task owns — so on exhaustive runs the branch-order
-	// merge makes all three counters bit-identical between sequential and
-	// parallel exploration, like every other non-timing field.
+	// Caches are per exploration shard (Config.NewScratch): DFS opens one
+	// shard per root-decision branch, whichever workers explore it, so on
+	// exhaustive runs the branch-order fold makes all three counters
+	// bit-identical at every worker count, like every other non-timing
+	// field.
 	//
 	// SpecCacheHits counts feasible executions answered from the cache;
 	// SpecCacheMisses counts executions that ran the full check;
@@ -104,21 +104,21 @@ type Stats struct {
 	// Phase-timing split: wall clock spent running executions vs checking
 	// feasible executions against the specification. Parallel workers
 	// accumulate concurrently, so the sums may exceed Result.Elapsed; both
-	// fields are exempt from parallel-vs-sequential bit-identity.
+	// fields are exempt from bit-identity across worker counts.
 	ExploreTime time.Duration `json:"explore_ns"`
 	SpecTime    time.Duration `json:"spec_ns"`
 
 	// Work-stealing scheduler telemetry. Unlike every other counter these
 	// describe how the frontier happened to be carved across workers —
 	// schedule-dependent by nature — so, like the timings, they are
-	// exempt from sequential/parallel bit-identity and zeroed by
+	// exempt from bit-identity across worker counts and zeroed by
 	// WithoutTimings. Steals counts frontier tasks taken from another
 	// worker's deque; MaxFrontier is the high-water mark of outstanding
 	// frontier entries; WorkerBusy sums the wall clock workers spent
 	// inside executions (vs stealing or parked) — the numerator of the
 	// kernel-bench busy-fraction column. All three survive
-	// checkpoint/resume boundaries and stay zero outside the
-	// work-stealing engine.
+	// checkpoint/resume boundaries and are populated on every DFS run
+	// (Steals stays zero at one worker); FastMode leaves them zero.
 	Steals      int           `json:"steals"`
 	MaxFrontier int           `json:"max_frontier"`
 	WorkerBusy  time.Duration `json:"worker_busy_ns"`
@@ -177,10 +177,9 @@ func (s *Stats) Merge(o *Stats) {
 }
 
 // WithoutTimings returns a copy with the wall-clock and scheduler-
-// telemetry fields zeroed — the form the parallel determinism tests
-// compare, since timing and scheduling are the only parts of Stats
-// allowed to differ between an exhaustive parallel run and its
-// sequential equivalent.
+// telemetry fields zeroed — the form the determinism tests compare,
+// since timing and scheduling are the only parts of Stats allowed to
+// differ between exhaustive runs at different worker counts.
 func (s Stats) WithoutTimings() Stats {
 	s.ExploreTime, s.SpecTime = 0, 0
 	s.Steals, s.MaxFrontier, s.WorkerBusy = 0, 0, 0

@@ -32,8 +32,8 @@ type chooser interface {
 	// node, past any replayed prefix. The reduction layer (reduce.go)
 	// checks and counts only at fresh nodes: a replayed branch point was
 	// registered by its own first visit and must not re-check (it would
-	// prune itself), and counting once per fresh visit keeps sequential
-	// and parallel totals identical.
+	// prune itself), and counting once per fresh visit keeps totals
+	// identical at every worker count.
 	freshDecision() bool
 }
 
@@ -148,7 +148,9 @@ func (s *System) Actions() []*memmodel.Action { return s.actions }
 func (s *System) Failure() *Failure { return s.failure }
 
 // ExecIndex returns the 1-based index of this execution within the
-// exploration.
+// exploration: its start order under DFS (the DFS order at one worker;
+// with Parallelism > 1 it depends on scheduling), its run index in
+// FastMode.
 func (s *System) ExecIndex() int { return s.execIndex }
 
 // SpecReport carries the per-execution checking statistics the

@@ -1,29 +1,33 @@
 package checker
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// This file implements the work-stealing DFS engine (the parallel
-// explorer for Parallelism > 1, and the substrate for checkpoint/resume
-// at any parallelism). Each worker owns a Chase-Lev deque (wsdeque.go) of
-// frontier tasks (frontier.go): it pops its own bottom — descending into
-// the subtree it just opened, the sequential DFS order — and steals from
-// the top of a victim's deque when dry, taking the shallowest (and so
-// statistically largest) outstanding subtree. Results stay bit-identical
-// to sequential DFS because every task's result is folded at its
-// canonical decision-path position (foldList), never in completion order.
+// This file implements the work-stealing DFS engine, which runs every
+// exhaustive exploration at any Parallelism (and checkpoint/resume). Each
+// worker owns a Chase-Lev deque (wsdeque.go) of frontier tasks
+// (frontier.go): it pops its own bottom — descending into the subtree it
+// just opened, the DFS order — and steals from the top of a victim's deque
+// when dry, taking the shallowest (and so statistically largest)
+// outstanding subtree. Results are bit-identical at every worker count
+// because every task's result is folded at its canonical decision-path
+// position (foldList), never in completion order. With one worker the
+// pops follow the DFS order exactly, so the engine keeps that path cheap:
+// a popped sibling flips one decision in place (dfsChooser.flip), and the
+// leaf Result merges straight into its done left neighbour.
 
 // wsEngine is one work-stealing exploration.
 type wsEngine struct {
 	c    *Config
 	root func(*Thread)
-	b    *bounds
-	fold *foldList
+	b    bounds
+	fold foldList
 
-	deques []*wsDeque
+	deques []wsDeque
 
 	// unfinished counts created-but-not-finished tasks; the last decrement
 	// to zero ends the run. Incremented before a task is published,
@@ -40,8 +44,8 @@ type wsEngine struct {
 	stop atomic.Bool
 
 	// Per-root-branch shard state (Config.NewScratch), created lazily
-	// under scratchMu so the hook runs exactly once per branch — the same
-	// count a sequential run produces.
+	// under scratchMu so the hook runs exactly once per branch whichever
+	// workers explore it.
 	scratchMu sync.Mutex
 	scratches map[int]any
 
@@ -49,7 +53,7 @@ type wsEngine struct {
 	// stop/done) so a sweep that raced a push never sleeps through it.
 	lot struct {
 		mu      sync.Mutex
-		cond    *sync.Cond
+		cond    sync.Cond
 		version uint64
 		done    bool
 	}
@@ -60,28 +64,23 @@ type wsEngine struct {
 	// startTime anchors this segment's wall clock (checkpoints add the
 	// resumed base on top).
 	startTime time.Time
+	// rootTask is the fresh run's first task, the empty path.
+	rootTask wsBranch
 }
 
 // exploreWorkSteal runs the engine; c has defaults applied. The returned
-// Result's Elapsed is owned by exploreParallel (the engine only adds the
-// resumed base).
+// Result's Elapsed is the resumed base only: Explore adds this run's wall
+// clock.
 func exploreWorkSteal(c *Config, root func(*Thread)) *Result {
-	workers := c.Parallelism
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(c.Parallelism, 1)
 	e := &wsEngine{
 		c:         c,
 		root:      root,
-		fold:      newFoldList(c.MaxFailures),
-		deques:    make([]*wsDeque, workers),
-		scratches: map[int]any{},
+		deques:    make([]wsDeque, workers),
 		startTime: time.Now(),
 	}
-	e.lot.cond = sync.NewCond(&e.lot.mu)
-	for w := range e.deques {
-		e.deques[w] = newWSDeque()
-	}
+	e.fold.maxFailures = c.MaxFailures
+	e.lot.cond.L = &e.lot.mu
 
 	already := 0
 	var baseElapsed time.Duration
@@ -89,13 +88,13 @@ func exploreWorkSteal(c *Config, root func(*Thread)) *Result {
 		already = e.restore(cp)
 		baseElapsed = cp.Elapsed
 	} else {
-		rootTask := &wsTask{}
-		e.fold.appendCell(&foldCell{task: rootTask})
-		e.deques[0].push(rootTask)
+		e.rootTask.cell.task = &e.rootTask.task
+		e.fold.appendCell(&e.rootTask.cell)
+		e.deques[0].push(&e.rootTask.task)
 		e.unfinished.Store(1)
 	}
-	e.b = newBounds(c.MaxExecutions, already)
-	defer e.b.cancel()
+	e.b.max = int64(c.MaxExecutions)
+	e.b.executed.Store(int64(already))
 	if c.progress != nil {
 		c.progress.attachEngine(&e.steals, &e.fold.pending)
 	}
@@ -104,47 +103,9 @@ func exploreWorkSteal(c *Config, root func(*Thread)) *Result {
 		e.lot.done = true
 	}
 
-	watcherStop := make(chan struct{})
-	var watchers sync.WaitGroup
-	if c.Interrupt != nil {
-		watchers.Add(1)
-		go func() {
-			defer watchers.Done()
-			select {
-			case <-c.Interrupt:
-				e.requestStop()
-			case <-watcherStop:
-			}
-		}()
-	}
-	if c.Checkpoint != nil && c.CheckpointEvery > 0 {
-		watchers.Add(1)
-		go func() {
-			defer watchers.Done()
-			tick := time.NewTicker(c.CheckpointEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					c.Checkpoint(e.checkpoint(baseElapsed))
-				case <-watcherStop:
-					return
-				}
-			}
-		}()
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			e.worker(w)
-		}(w)
-	}
-	wg.Wait()
-	close(watcherStop)
-	watchers.Wait()
+	stopWatchers := e.startWatchers(baseElapsed)
+	e.runWorkers(workers)
+	stopWatchers()
 
 	if c.Checkpoint != nil {
 		// Final snapshot: with a drained frontier it is a single done
@@ -168,42 +129,127 @@ func exploreWorkSteal(c *Config, root func(*Thread)) *Result {
 		// trail it (see runOne); the workers have all stopped here.
 		res.Stats.RFClasses = int(c.rfSeen.classes.Load())
 	}
-	// Exhausted mirrors the sequential loop: true only when the frontier
-	// drained without a stop and without consuming the entire execution
-	// budget (sequential DFS returns before testing advance() once the
-	// budget is spent, so an exactly-budget-sized space reports false).
+	// Exhausted: the frontier drained without a stop and without
+	// consuming the entire execution budget — a space exactly the size of
+	// the budget reports false, because nothing proves the budget was not
+	// what ended the run.
 	res.Exhausted = e.fold.pendingCount() == 0 && !e.b.stopped() &&
 		(c.MaxExecutions == 0 || res.Executions < c.MaxExecutions)
 	res.Elapsed = baseElapsed
 	return res
 }
 
+// startWatchers starts the goroutines that turn Config.Interrupt into a
+// stop request and deliver periodic checkpoints. The returned function
+// stops them and waits for them to exit.
+func (e *wsEngine) startWatchers(baseElapsed time.Duration) (stop func()) {
+	c := e.c
+	periodic := c.Checkpoint != nil && c.CheckpointEvery > 0
+	if c.Interrupt == nil && !periodic {
+		return func() {}
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	if c.Interrupt != nil {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			select {
+			case <-c.Interrupt:
+				e.requestStop()
+			case <-done:
+			}
+		}()
+	}
+	if periodic {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tick := time.NewTicker(c.CheckpointEvery)
+			defer tick.Stop()
+			for {
+				select {
+				case <-tick.C:
+					c.Checkpoint(e.checkpoint(baseElapsed))
+				case <-done:
+					return
+				}
+			}
+		}()
+	}
+	return func() {
+		close(done)
+		wg.Wait()
+	}
+}
+
+// runWorkers runs n workers and returns when all have exited. Worker 0
+// runs on the calling goroutine.
+func (e *wsEngine) runWorkers(n int) {
+	if n == 1 {
+		// Returning before the WaitGroup is declared keeps the one-worker
+		// run from allocating it (the goroutines capture it).
+		e.worker(0)
+		return
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < n; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e.worker(w)
+		}()
+	}
+	e.worker(0)
+	wg.Wait()
+}
+
+// wsWorker is one worker's private state.
+type wsWorker struct {
+	e    *wsEngine
+	dq   *wsDeque
+	d    *dfsChooser
+	pool *execPool
+	// chain holds the fnode of every decision on the chooser's current
+	// path (chain[i] is d.decisions[i]), so popping a sibling of a node on
+	// the path can flip that one decision instead of replaying the path.
+	chain []*fnode
+	// leaf is the Result the next execution is counted into. The fold
+	// list merges it into a done left neighbour, after which it is reset
+	// and reused, or keeps it, after which the worker allocates another.
+	leaf *Result
+	// subs is the reused buffer of one execution's new frontier tasks.
+	subs []*wsTask
+	// scratch caches the shard scratch of root branch scratchBranch.
+	scratchBranch int
+	scratch       any
+}
+
 // worker is one scheduler loop: drain the own deque bottom-first, then
 // steal; park when the whole frontier is in flight elsewhere.
-func (e *wsEngine) worker(w int) {
-	d := newDFSChooser(e.c)
-	pool := newExecPool(e.c)
-	defer pool.close()
-	dq := e.deques[w]
-	for {
-		if e.stop.Load() {
-			return
-		}
-		t := dq.popBottom()
+func (e *wsEngine) worker(id int) {
+	w := &wsWorker{e: e, dq: &e.deques[id], d: newDFSChooser(e.c), pool: newExecPool(e.c), scratchBranch: -1}
+	defer w.pool.close()
+	for !e.stop.Load() {
+		t := w.dq.popBottom()
 		if t == nil {
-			t = e.acquire(w)
-			if t == nil {
+			if t = e.acquire(id); t == nil {
 				return
 			}
 		}
-		e.runTask(d, pool, dq, t)
+		w.runTask(t)
 	}
 }
 
 // runTask explores one frontier entry: one execution plus the publication
 // of the sibling branches it discovered.
-func (e *wsEngine) runTask(d *dfsChooser, pool *execPool, dq *wsDeque, t *wsTask) {
-	if e.stop.Load() || !e.b.tryStart() {
+func (w *wsWorker) runTask(t *wsTask) {
+	e := w.e
+	idx := 0
+	if !e.stop.Load() {
+		idx = e.b.tryStart()
+	}
+	if idx == 0 {
 		// Budget exhausted or stop requested: leave the cell pending (the
 		// checkpoint will carry it) and fold nothing.
 		e.requestStop()
@@ -211,22 +257,27 @@ func (e *wsEngine) runTask(d *dfsChooser, pool *execPool, dq *wsDeque, t *wsTask
 		return
 	}
 	busyStart := time.Now()
-	prefix := t.path()
-	d.resetTo(prefix)
-	local := &Result{}
-	d.stats = &local.Stats
-	scratch := e.scratchFor(t.rootBranch())
-	failed := runOne(e.c, local, d, e.root, scratch, pool)
-	subs := spawnSubtasks(t, d.decisions, len(prefix))
-	e.fold.complete(t, local, subs)
+	w.position(t)
+	prefixLen := len(w.d.decisions)
+	if w.leaf == nil {
+		w.leaf = &Result{}
+	}
+	w.d.stats = &w.leaf.Stats
+	failed := runOne(e.c, w.leaf, w.d, e.root, w.scratchFor(), w.pool, idx)
+	subs := w.spawn(prefixLen)
+	if e.fold.complete(t, w.leaf, subs) {
+		w.leaf = nil
+	} else {
+		*w.leaf = Result{}
+	}
 	e.unfinished.Add(int64(len(subs)))
 	// Push in reverse fold order so the owner's next popBottom is the
-	// deepest fresh node's next branch — sequential DFS's next leaf —
-	// while thieves steal the shallowest from the top.
+	// deepest fresh node's next branch — the DFS order's next leaf — while
+	// thieves steal the shallowest from the top.
 	for i := len(subs) - 1; i >= 0; i-- {
-		dq.push(subs[i])
+		w.dq.push(subs[i])
 	}
-	if len(subs) > 0 {
+	if len(subs) > 0 && len(e.deques) > 1 {
 		e.notifyWork()
 	}
 	e.busy.Add(int64(time.Since(busyStart)))
@@ -237,54 +288,90 @@ func (e *wsEngine) runTask(d *dfsChooser, pool *execPool, dq *wsDeque, t *wsTask
 	e.taskDone()
 }
 
-// spawnSubtasks builds the frontier entries for the sibling branches of
-// every decision node freshly opened by the execution (decisions beyond
-// prefixLen), in fold order: deepest node first, branches ascending —
-// the order sequential DFS visits them after this leaf.
-func spawnSubtasks(t *wsTask, decisions []decision, prefixLen int) []*wsTask {
-	fresh := decisions[prefixLen:]
-	if len(fresh) == 0 {
-		return nil
+// position moves the chooser onto t's frozen path. A task whose parent is
+// on the current path — every owner pop at one worker — flips one
+// decision in place; any other (the root task, a steal, a resumed
+// frontier entry) materializes its path.
+func (w *wsWorker) position(t *wsTask) {
+	n := t.node
+	if n != nil && n.depth < len(w.chain) && (n.depth == 0 || w.chain[n.depth-1] == n.parent) {
+		w.d.flip(n)
+		w.chain = append(w.chain[:n.depth], n)
+		return
 	}
-	// Materialize the fresh chain (every fresh node was taken at branch
-	// 0); siblings share the parent pointer and the cands slice.
-	chain := make([]*fnode, len(fresh))
-	parent := t.node
-	for i := range fresh {
-		nd := &fresh[i]
-		fn := &fnode{parent: parent, depth: prefixLen + i, kind: nd.kind, n: nd.n, branch: nd.chosen}
-		if nd.kind == 's' {
-			fn.cands = append([]int(nil), nd.cands...)
-		}
-		chain[i] = fn
-		parent = fn
+	w.d.resetTo(t.path())
+	w.chain = w.chain[:0]
+	for ; n != nil; n = n.parent {
+		w.chain = append(w.chain, n)
 	}
-	var subs []*wsTask
-	for i := len(chain) - 1; i >= 0; i-- {
-		fn := chain[i]
-		for b := fn.branch + 1; b < fn.branchCount(); b++ {
-			sib := &fnode{parent: fn.parent, depth: fn.depth, kind: fn.kind, n: fn.n, cands: fn.cands, branch: b}
-			subs = append(subs, &wsTask{node: sib})
-		}
-	}
-	return subs
+	slices.Reverse(w.chain)
 }
 
-// scratchFor returns the shard scratch for a root branch, invoking
-// Config.NewScratch exactly once per branch. Multiple workers may explore
-// one branch concurrently, so the scratch value must tolerate concurrent
-// use (see Config.NewScratch).
-func (e *wsEngine) scratchFor(branch int) any {
+// spawn builds the frontier entries for the sibling branches of every
+// decision node the execution freshly opened (decisions past prefixLen),
+// extending the chain with the opened nodes. The tasks come out in fold
+// order: deepest node first, branches ascending — the DFS order after
+// this leaf. Each opened node is one allocation (a wsBranch per branch),
+// and its siblings share its parent pointer and cands slice.
+func (w *wsWorker) spawn(prefixLen int) []*wsTask {
+	fresh := w.d.decisions[prefixLen:]
+	total := 0
+	for i := range fresh {
+		total += fresh[i].branchCount() - 1 - fresh[i].chosen
+	}
+	w.subs = slices.Grow(w.subs[:0], total)[:total]
+	var parent *fnode
+	if prefixLen > 0 {
+		parent = w.chain[prefixLen-1]
+	}
+	// Fill from the back: shallower nodes' siblings come later in fold
+	// order.
+	pos := total
+	for i := range fresh {
+		nd := &fresh[i]
+		bs := make([]wsBranch, nd.branchCount())
+		for b := range bs {
+			bs[b].node = fnode{parent: parent, depth: prefixLen + i, kind: nd.kind, n: nd.n, cands: nd.cands, branch: b}
+		}
+		pos -= len(bs) - 1 - nd.chosen
+		for b, j := nd.chosen+1, pos; b < len(bs); b, j = b+1, j+1 {
+			br := &bs[b]
+			br.task.node, br.task.cell = &br.node, &br.cell
+			w.subs[j] = &br.task
+		}
+		parent = &bs[nd.chosen].node
+		w.chain = append(w.chain, parent)
+	}
+	return w.subs
+}
+
+// scratchFor returns the shard scratch for the chooser's root branch,
+// invoking Config.NewScratch exactly once per branch across all workers.
+// Multiple workers may explore one branch concurrently, so the scratch
+// value must tolerate concurrent use (see Config.NewScratch).
+func (w *wsWorker) scratchFor() any {
+	e := w.e
 	if e.c.NewScratch == nil {
 		return nil
 	}
+	branch := 0
+	if len(w.d.decisions) > 0 {
+		branch = w.d.decisions[0].chosen
+	}
+	if branch == w.scratchBranch {
+		return w.scratch
+	}
 	e.scratchMu.Lock()
-	defer e.scratchMu.Unlock()
 	s, ok := e.scratches[branch]
 	if !ok {
+		if e.scratches == nil {
+			e.scratches = map[int]any{}
+		}
 		s = e.c.NewScratch()
 		e.scratches[branch] = s
 	}
+	e.scratchMu.Unlock()
+	w.scratchBranch, w.scratch = branch, s
 	return s
 }
 

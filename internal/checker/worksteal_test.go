@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/memmodel"
 )
 
 // --- Chase-Lev deque ---------------------------------------------------
@@ -15,7 +17,7 @@ import (
 // TestWSDequeSequential: owner-side LIFO, thief-side FIFO, and growth
 // past the initial ring size.
 func TestWSDequeSequential(t *testing.T) {
-	d := newWSDeque()
+	d := &wsDeque{}
 	if d.popBottom() != nil || d.steal() != nil {
 		t.Fatal("empty deque must return nil")
 	}
@@ -62,7 +64,7 @@ func TestWSDequeSequential(t *testing.T) {
 func TestWSDequeConcurrent(t *testing.T) {
 	const total = 20000
 	const thieves = 4
-	d := newWSDeque()
+	d := &wsDeque{}
 	var consumed atomic.Int64
 	counts := make([]atomic.Int32, total)
 	var wg sync.WaitGroup
@@ -114,17 +116,15 @@ func TestWSDequeConcurrent(t *testing.T) {
 // --- Determinism and the MaxExecutions invariant -----------------------
 
 // TestParallelDeterminism: work-stealing exploration is bit-identical to
-// sequential across worker counts, including under a tight failure cap
-// (the per-merge cap must retain exactly the failures a sequential run
+// the reference DFS across worker counts, including under a tight failure
+// cap (the per-merge cap must retain exactly the failures the reference
 // keeps); and a cancelled bounded run never overshoots MaxExecutions —
 // bounds.tryStart reserves with a CAS loop, so the counter cannot pass
 // the bound no matter how StopAtFirst's cancel races it.
 func TestParallelDeterminism(t *testing.T) {
-	for _, n := range []int{2, 4, 16} {
-		compareParallel(t, fmt.Sprintf("store-buffering-%dw", n), n, Config{}, manyExecProgram)
-	}
+	compareEngine(t, "store-buffering", Config{}, manyExecProgram)
 	// Failure retention under a cap smaller than the failure count.
-	compareParallel(t, "deadlock-capped", 4, Config{MaxFailures: 3}, deadlockProg)
+	compareEngine(t, "deadlock-capped", Config{MaxFailures: 3}, deadlockProg)
 
 	// The overshoot invariant, raced 25 times: StopAtFirst cancels while
 	// other workers hold budget reservations.
@@ -143,6 +143,28 @@ func TestParallelDeterminism(t *testing.T) {
 		if res.Executions != 6 {
 			t.Fatalf("parallelism %d: bounded run made %d executions, want exactly 6", par, res.Executions)
 		}
+	}
+}
+
+// TestExploreFixedAllocs gates the fixed heap cost of one exploration:
+// Explore(Config{}) of a program with a single execution. The sequential
+// DFS loop this engine replaced cost 44 allocations, and routing it
+// through the engine unchanged cost 62 (context, sync.Cond, scratch map,
+// deque ring, watcher channel, first leaf clone); the engine now costs 46.
+// The gate sits 2 above that.
+func TestExploreFixedAllocs(t *testing.T) {
+	prog := func(root *Thread) {
+		x := root.NewAtomicInit("x", 0)
+		x.Store(root, memmodel.Relaxed, 1)
+	}
+	var res *Result
+	allocs := testing.AllocsPerRun(100, func() { res = Explore(Config{}, prog) })
+	if res.Executions != 1 || !res.Exhausted {
+		t.Fatalf("want one exhausted execution: %v", res)
+	}
+	t.Logf("%.0f allocations per one-execution Explore", allocs)
+	if allocs > 48 {
+		t.Errorf("one-execution Explore allocates %.0f times, want <= 48", allocs)
 	}
 }
 

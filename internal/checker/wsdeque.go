@@ -8,11 +8,11 @@ import "sync/atomic"
 // of Lê, Pop, Cohen and Zappa Nardelli:
 //
 //   - the owner pushes and pops at the bottom (LIFO, so a worker keeps
-//     descending into the subtree it just opened — the sequential DFS
-//     order),
+//     descending into the subtree it just opened — the DFS order),
 //   - thieves CAS the top (FIFO, so a steal takes the shallowest — and
 //     statistically largest — outstanding subtree),
-//   - push grows the circular array when full, publishing the new buffer
+//   - push allocates the circular array on first use and grows it when
+//     full, publishing the new buffer
 //     through an atomic pointer; a thief still holding the old buffer
 //     reads the same elements, because growth copies [top, bottom) and
 //     the old slots are never written again.
@@ -20,11 +20,16 @@ import "sync/atomic"
 // Go's sync/atomic operations are sequentially consistent, strictly
 // stronger than the acquire/release/seq_cst mix the C11 version needs, so
 // the owner/thief race on the last element is arbitrated by the CAS on
-// top exactly as in the paper's bug-fixed orders.
+// top exactly as in the paper's bug-fixed orders. The zero value is an
+// empty deque.
 type wsDeque struct {
 	top    atomic.Int64
 	bottom atomic.Int64
 	ring   atomic.Pointer[wsRing]
+	// first is the initial ring generation, stored inline so that a
+	// deque costs no allocation until it outgrows it.
+	first      wsRing
+	firstSlots [wsDequeInitialSize]atomic.Pointer[wsTask]
 }
 
 // wsRing is one circular-buffer generation; size is a power of two.
@@ -42,27 +47,27 @@ func newWSRing(size int64) *wsRing {
 func (r *wsRing) get(i int64) *wsTask    { return r.slots[i&r.mask].Load() }
 func (r *wsRing) put(i int64, t *wsTask) { r.slots[i&r.mask].Store(t) }
 
-func newWSDeque() *wsDeque {
-	d := &wsDeque{}
-	d.ring.Store(newWSRing(wsDequeInitialSize))
-	return d
-}
-
 // push adds t at the bottom. Owner only — except before the worker
 // goroutines start, when the engine seeds the deques single-threadedly.
 func (d *wsDeque) push(t *wsTask) {
 	b := d.bottom.Load()
 	top := d.top.Load()
 	r := d.ring.Load()
-	if b-top > r.mask {
+	if r == nil || b-top > r.mask {
 		r = d.grow(r, top, b)
 	}
 	r.put(b, t)
 	d.bottom.Store(b + 1)
 }
 
-// grow doubles the ring, copying the live window [top, b).
+// grow doubles the ring (or allocates the first one), copying the live
+// window [top, b).
 func (d *wsDeque) grow(old *wsRing, top, b int64) *wsRing {
+	if old == nil {
+		d.first = wsRing{mask: wsDequeInitialSize - 1, slots: d.firstSlots[:]}
+		d.ring.Store(&d.first)
+		return &d.first
+	}
 	r := newWSRing((old.mask + 1) * 2)
 	for i := top; i < b; i++ {
 		r.put(i, old.get(i))

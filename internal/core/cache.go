@@ -18,10 +18,10 @@ import (
 // answers repeated equivalent behaviors with one map lookup.
 //
 // One checkCache serves one exploration shard (checker.Config.NewScratch).
-// Shards coincide between sequential and parallel DFS (one per
-// root-decision branch), which keeps the hit/miss/entry counters
-// bit-identical between exhaustive sequential and parallel runs: under
-// the work-stealing engine several workers may explore one shard
+// Shards are fixed by the decision tree (one per root-decision branch),
+// not by workers, which keeps the hit/miss/entry counters bit-identical
+// at every worker count on exhaustive runs: several workers may explore
+// one shard
 // concurrently, but for a fixed set of executions through one cache the
 // misses are exactly the distinct fingerprints and the hits the rest —
 // totals independent of arrival order. The cache locks internally (mu)

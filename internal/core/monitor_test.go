@@ -348,15 +348,15 @@ func reuseBody(root *checker.Thread, mid *[2][2]uint64) {
 	c.EndVoid(root)
 }
 
-// runReuse runs reuseProg for two random walks on one worker and
-// snapshots the monitor at the end of each.
+// runReuse runs the first two DFS executions of reuseProg on one worker
+// and snapshots the monitor at the end of each.
 func runReuse(t *testing.T, disablePooling bool) [2]monitorSnap {
 	t.Helper()
 	spec := trivialSpec()
 	var snaps [2]monitorSnap
 	var mid [2][2]uint64
 	cfg := checker.Config{
-		RandomWalk:     2,
+		MaxExecutions:  2,
 		DisablePooling: disablePooling,
 		OnRunStart:     func(sys *checker.System) { Install(sys, spec) },
 		OnExecution: func(sys *checker.System) []*checker.Failure {

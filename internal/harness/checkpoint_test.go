@@ -66,8 +66,8 @@ func determinismBenchmarks(t *testing.T) []string {
 	return names
 }
 
-// TestWorkStealDeterminismAcrossWorkers: workers 1, 4, 16 all reproduce
-// the sequential exploration bit-for-bit.
+// TestWorkStealDeterminismAcrossWorkers: workers 4 and 16 reproduce the
+// one-worker exploration bit-for-bit.
 func TestWorkStealDeterminismAcrossWorkers(t *testing.T) {
 	for _, name := range determinismBenchmarks(t) {
 		b := BenchmarkByName(name)
@@ -76,17 +76,10 @@ func TestWorkStealDeterminismAcrossWorkers(t *testing.T) {
 		}
 		seq := exploreBench(b, checker.Config{})
 		if !seq.Exhausted {
-			t.Fatalf("%s: sequential exploration did not exhaust", name)
+			t.Fatalf("%s: one-worker exploration did not exhaust", name)
 		}
-		for _, workers := range []int{1, 4, 16} {
-			// Parallelism 1 routes through the sequential loop; force the
-			// engine by asking for a (discarded) checkpoint, so the
-			// one-worker engine is covered too.
-			cfg := checker.Config{Parallelism: workers}
-			if workers == 1 {
-				cfg.Checkpoint = func(*checker.Checkpoint) {}
-			}
-			par := exploreBench(b, cfg)
+		for _, workers := range []int{4, 16} {
+			par := exploreBench(b, checker.Config{Parallelism: workers})
 			requireSameResult(t, fmt.Sprintf("%s workers=%d", name, workers), seq, par, false)
 		}
 	}
@@ -95,7 +88,7 @@ func TestWorkStealDeterminismAcrossWorkers(t *testing.T) {
 // TestWorkStealDeterminismAcrossResume: for each benchmark, cut the
 // exploration at several points, round-trip the checkpoint through the
 // on-disk envelope, resume at a different worker count, and require the
-// final result to match the uninterrupted sequential run.
+// final result to match the uninterrupted one-worker run.
 func TestWorkStealDeterminismAcrossResume(t *testing.T) {
 	dir := t.TempDir()
 	for _, name := range determinismBenchmarks(t) {

@@ -29,8 +29,8 @@ type Options struct {
 	// Workers bounds the worker pool. 0 means runtime.GOMAXPROCS(0).
 	Workers int
 	// Parallelism sets checker.Config.Parallelism for every exploration
-	// the harness runs: 0 or 1 explores sequentially, >1 runs the
-	// work-stealing engine with that many workers. Orthogonal to Workers,
+	// the harness runs: the work-stealing DFS engine's worker count (0 or
+	// 1 = one worker). Orthogonal to Workers,
 	// which parallelizes across independent work items (Figure 8 trials,
 	// Figure 7 rows) rather than within one exploration.
 	Parallelism int

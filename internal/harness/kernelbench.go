@@ -35,20 +35,20 @@ type KernelRow struct {
 	// performance transformations, so anything else is a checker bug.
 	Identical bool `json:"identical"`
 
-	// Work-stealing columns (schema v2): the same exploration under the
-	// parallel engine with WsWorkers workers, optimizations on. WsBusy is
+	// Work-stealing columns (schema v2): the same exploration with
+	// WsWorkers workers, optimizations on. WsBusy is
 	// the summed wall clock workers spent inside executions; the
 	// steal-efficiency number the CI table prints is
 	// WsBusy / (WsTime × WsWorkers). WsIdentical additionally requires the
 	// parallel run's Stats (timings and scheduler telemetry excluded) to
-	// match the sequential optimized run bit-for-bit.
+	// match the one-worker optimized run bit-for-bit.
 	WsTime      time.Duration `json:"ws_ns,omitempty"`
 	WsWorkers   int           `json:"ws_workers,omitempty"`
 	WsBusy      time.Duration `json:"ws_busy_ns,omitempty"`
 	WsSteals    int           `json:"ws_steals,omitempty"`
 	WsIdentical bool          `json:"ws_identical,omitempty"`
 
-	// Reduction columns (schema v3): the same exploration, sequential
+	// Reduction columns (schema v3): the same exploration, one worker
 	// with optimizations on, under the full execution-equivalence
 	// reduction set (RedReduce records it). The (Executions,
 	// RedExecutions) pair is the before/after executions-explored
@@ -90,8 +90,8 @@ func (r KernelRow) ReductionX() float64 {
 	return float64(r.Executions) / float64(r.RedExecutions)
 }
 
-// WsSpeedupX is the wall-clock ratio sequential-opt/parallel (>1 means
-// the work-stealing engine helps).
+// WsSpeedupX is the wall-clock ratio of the one-worker optimized run to
+// the WsWorkers run (>1 means the extra workers help).
 func (r KernelRow) WsSpeedupX() float64 {
 	if r.WsTime <= 0 {
 		return 0
@@ -233,7 +233,7 @@ func ReadKernelSnapshot(data []byte) (*KernelSnapshot, error) {
 
 // FormatKernelBench renders the rows as the EXPERIMENTS.md-style table,
 // including the work-stealing columns — ws-time is the parallel wall
-// clock, ws-speedup the sequential/parallel ratio, busy the
+// clock, ws-speedup the one-worker/parallel ratio, busy the
 // steal-efficiency (worker busy-fraction), steals the cross-deque task
 // transfers — and the reduction columns: red-execs is the executions
 // explored with the full reduction set on, red-x the unreduced/reduced

@@ -76,18 +76,9 @@ func TestC11GoldenStats(t *testing.T) {
 		}
 		for _, id := range []model.ID{"", model.C11} {
 			for _, workers := range []int{1, 4, 16} {
-				cfg := checker.Config{Parallelism: workers, Model: id}
-				if workers == 1 {
-					// Route through the work-stealing engine even at one
-					// worker (Parallelism 1 runs the sequential loop).
-					cfg.Checkpoint = func(*checker.Checkpoint) {}
-				}
-				res := exploreBench(b, cfg)
+				res := exploreBench(b, checker.Config{Parallelism: workers, Model: id})
 				checkGolden(t, fmt.Sprintf("%s model=%q workers=%d", name, id, workers), name, res)
 			}
 		}
-		// The plain sequential DFS path (no engine) must match too.
-		res := exploreBench(b, checker.Config{Model: model.C11})
-		checkGolden(t, name+" sequential", name, res)
 	}
 }

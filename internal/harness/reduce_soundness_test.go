@@ -16,14 +16,14 @@ import (
 // checker.ReduceSet the reduced exploration must observe the identical
 // behavior set (litmus outcomes; spec fingerprints for benchmarks) and
 // the identical failure kinds as the unreduced one, under every model
-// backend and every engine (sequential and work-stealing at several
-// worker counts). The one documented exception is thread symmetry on
-// programs with identical-closure siblings, where the reduced behavior
+// backend and at several worker counts of the DFS engine. The one
+// documented exception is thread symmetry on programs with
+// identical-closure siblings, where the reduced behavior
 // set is a canonical subset of the unreduced one (the spec fingerprint
 // keys raw thread ids, and symmetry merges thread-renamed twins); that
 // contract gets its own test with a deliberately symmetric program.
 //
-// The suite also pins the acceptance numbers: exact sequential execution
+// The suite also pins the acceptance numbers: exact one-worker execution
 // counts for the reduced and unreduced legs on MP, the M&S queue, and
 // the MPMC queue, and the >=5x reduction factors the issue gates on.
 
@@ -179,8 +179,8 @@ func TestReduceSoundnessSeededBugs(t *testing.T) {
 	}
 }
 
-// TestReduceExecutionCountsPinned pins the sequential execution counts
-// on the acceptance targets. Sequential reduction is deterministic, so
+// TestReduceExecutionCountsPinned pins the one-worker execution counts
+// on the acceptance targets. One-worker reduction is deterministic, so
 // any drift here means the explored space changed — compare the reduced
 // and unreduced behavior sets before updating the pins.
 func TestReduceExecutionCountsPinned(t *testing.T) {

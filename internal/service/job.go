@@ -82,7 +82,7 @@ type JobSpec struct {
 	// for explore, engine default for fast/triage).
 	MaxExecutions int `json:"max_executions,omitempty"`
 	// Parallelism is the within-job worker count (checker.Config
-	// semantics: 0 or 1 sequential, >1 work-stealing).
+	// semantics: 0 or 1 = one work-stealing worker).
 	Parallelism int `json:"parallelism,omitempty"`
 	// Deadline is the per-job wall-clock budget. When it expires the job
 	// is interrupted and lands in the first-class terminal state
