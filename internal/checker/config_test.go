@@ -11,10 +11,11 @@ import (
 )
 
 // TestConfigValidate pins the rejection of configurations that earlier
-// versions silently mishandled: a negative StoreBound was clamped up to 2
-// as if it were a small bound, FastMode quietly ignored checkpoint and
-// resume settings instead of refusing them, and DFS quietly ignored
-// TimeBudget (a negative one also silently meant "none").
+// versions silently mishandled: negative counts (a negative StoreBound
+// was clamped up to 2 as if it were a small bound), FastMode quietly
+// ignored checkpoint and resume settings instead of refusing them, and
+// DFS quietly ignored TimeBudget (a negative one also silently meant
+// "none"). MaxThreads is also capped at the sleep set's bitmask width.
 func TestConfigValidate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -27,6 +28,19 @@ func TestConfigValidate(t *testing.T) {
 		{"model-scatomics", Config{Model: model.SCAtomics}, ""},
 		{"model-unknown", Config{Model: "tso"}, "unknown memory model"},
 		{"negative-store-bound", Config{StoreBound: -1}, "StoreBound"},
+		// Negative counts used to fall through their zero-means-default
+		// rules: MaxThreads aborted the first thread with a bare panic,
+		// MaxExecutions explored everything yet reported Exhausted
+		// false, MaxSteps dropped the step bound, and MaxFailures
+		// retained no failure at all.
+		{"negative-max-threads", Config{MaxThreads: -1}, "MaxThreads must be >= 0"},
+		{"negative-max-steps", Config{MaxSteps: -1}, "MaxSteps must be >= 0"},
+		{"negative-max-executions", Config{MaxExecutions: -1}, "MaxExecutions must be >= 0"},
+		{"negative-max-failures", Config{MaxFailures: -1}, "MaxFailures must be >= 0"},
+		{"negative-trace-limit", Config{TraceLimit: -1}, "TraceLimit must be >= 0"},
+		{"negative-parallelism", Config{Parallelism: -1}, "Parallelism must be >= 0"},
+		{"max-threads-at-sleep-width", Config{MaxThreads: maxSleepThreads}, ""},
+		{"max-threads-over-sleep-width", Config{MaxThreads: maxSleepThreads + 1}, "MaxThreads must be <= 64"},
 		{"store-bound-one-clamps", Config{StoreBound: 1}, ""}, // documented min-clamp, not an error
 		{"fastmode-plain", Config{FastMode: true}, ""},
 		{"fastmode-checkpoint", Config{FastMode: true, Checkpoint: func(*Checkpoint) {}}, "cannot checkpoint"},

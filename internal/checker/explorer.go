@@ -49,7 +49,8 @@ type Config struct {
 	// MaxSteps bounds the visible operations per execution; runs that
 	// exceed it are pruned as infeasible. 0 uses a default of 4000.
 	MaxSteps int
-	// MaxThreads bounds simultaneous simulated threads (default 16).
+	// MaxThreads bounds the simulated threads of one execution (default
+	// 16, at most 64: thread ids index the sleep set's bitmask).
 	MaxThreads int
 	// StopAtFirst stops the exploration at the first failure.
 	StopAtFirst bool
@@ -220,18 +221,38 @@ type Config struct {
 // checkpoint); callers that surface errors to users — the CLI, the
 // harness — should Validate first.
 //
-// The checks reject combinations that earlier versions silently ignored
-// or mishandled: a negative StoreBound fell through the minimum clamp to
-// 2 as if it were a small bound, FastMode quietly dropped
-// Checkpoint/ResumeFrom instead of refusing them (FastMode samples
-// independent runs — there is no frontier to checkpoint), and DFS
-// quietly ignored TimeBudget, which only the FastMode run loop checks.
+// The checks reject settings that earlier versions silently ignored or
+// mishandled. Negative counts fell through their zero-means-default
+// rules: a negative StoreBound was clamped to 2 as if it were a small
+// bound, MaxThreads failed the first thread with a bare abort panic,
+// MaxSteps dropped the step bound, MaxExecutions explored everything yet
+// reported Exhausted false, and MaxFailures counted failures but kept
+// none. FastMode quietly dropped Checkpoint/ResumeFrom instead of
+// refusing them (FastMode samples independent runs — there is no
+// frontier to checkpoint), and DFS quietly ignored TimeBudget, which
+// only the FastMode run loop checks.
 func (c *Config) Validate() error {
 	if !c.Model.OrDefault().Valid() {
 		return fmt.Errorf("checker: unknown memory model %q (valid: %s)", c.Model, strings.Join(model.Names(), ", "))
 	}
-	if c.StoreBound < 0 {
-		return fmt.Errorf("checker: StoreBound must be >= 0, got %d", c.StoreBound)
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"MaxThreads", c.MaxThreads},
+		{"MaxSteps", c.MaxSteps},
+		{"MaxExecutions", c.MaxExecutions},
+		{"MaxFailures", c.MaxFailures},
+		{"TraceLimit", c.TraceLimit},
+		{"Parallelism", c.Parallelism},
+		{"StoreBound", c.StoreBound},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("checker: %s must be >= 0, got %d", f.name, f.v)
+		}
+	}
+	if c.MaxThreads > maxSleepThreads {
+		return fmt.Errorf("checker: MaxThreads must be <= %d (the sleep set's width), got %d", maxSleepThreads, c.MaxThreads)
 	}
 	if c.FastMode {
 		switch {
@@ -763,7 +784,7 @@ func runExecution(cfg *Config, ch chooser, root func(*Thread), execIndex int, sc
 	if pool != nil {
 		sys = pool.take(cfg, ch, execIndex, scratch)
 	} else {
-		sys = &System{cfg: cfg, chooser: ch, execIndex: execIndex, sleep: newSleepSet(), Scratch: scratch, schedDone: make(chan struct{})}
+		sys = &System{cfg: cfg, chooser: ch, execIndex: execIndex, Scratch: scratch, schedDone: make(chan struct{})}
 	}
 	if cfg.OnRunStart != nil {
 		cfg.OnRunStart(sys)
@@ -853,13 +874,17 @@ func (s *System) allFinished() bool {
 // wakeLastResort re-enables yielded spinners when nothing else can run:
 // a spinner that then makes no state change is not retried at the same
 // epoch, which both guarantees termination and detects livelocks.
+//
+// It runs only when nothing is enabled, so the candidates reuse the
+// (then empty) enabledThreads buffer.
 func (s *System) wakeLastResort() *Thread {
-	var cands []*Thread
+	cands := s.enabledBuf[:0]
 	for _, t := range s.threads {
 		if t.state == tsYield && t.lastResortEpoch != s.storeEpoch {
 			cands = append(cands, t)
 		}
 	}
+	s.enabledBuf = cands
 	if len(cands) == 0 {
 		return nil
 	}

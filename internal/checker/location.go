@@ -103,6 +103,10 @@ type location struct {
 	canonA   uint64
 	canonSeq uint32
 	fpMo     fpPair
+	// fpEnt is the entry last folded into System.fpLocSum; fpDirty marks
+	// it stale (see fpFlush).
+	fpEnt   fpKey
+	fpDirty bool
 
 	// Per-thread latest-access vectors for exact O(threads) race checks
 	// (C11Tester-style): readSeq[tid]/writeSeq[tid] is the tseq of thread
@@ -119,6 +123,11 @@ type location struct {
 	// for programs that never mix.
 	rawReadSeq  []uint32
 	rawWriteSeq []uint32
+
+	// atomicH/plainH is the handle NewAtomic/NewPlain returned for this
+	// location (by kind); it lives and is recycled with the location.
+	atomicH Atomic
+	plainH  Plain
 }
 
 // moNext returns the absolute mo index the next store will get (one past

@@ -99,6 +99,9 @@ type Mutex struct {
 	canonA   uint64
 	canonSeq uint32
 	fp       fpPair
+	// fpEnt/fpDirty: see location.
+	fpEnt   fpKey
+	fpDirty bool
 }
 
 // Name returns the mutex's debug name.

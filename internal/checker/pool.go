@@ -19,7 +19,8 @@ import (
 // fully overwritten before reuse.
 //
 // The load-bearing invariant is *lifetime*: pointers into pooled state —
-// *memmodel.Action, Action.Clock, storeRec.sync, and the spec layer's
+// *memmodel.Action, Action.Clock, storeRec.sync, the *Atomic/*Plain
+// handles (embedded in their locations), and the spec layer's
 // *core.Call — are valid only within the execution that produced them.
 // Everything retained across executions already obeys this (Failure
 // renders its trace to a string at creation time; Result holds no
@@ -57,7 +58,7 @@ func newExecPool(c *Config) *execPool {
 // builds the shell; later calls rewind it.
 func (p *execPool) take(cfg *Config, ch chooser, execIndex int, scratch any) *System {
 	if p.sys == nil {
-		p.sys = &System{sleep: newSleepSet(), schedDone: make(chan struct{})}
+		p.sys = &System{schedDone: make(chan struct{})}
 	}
 	s := p.sys
 	if cfg.FastMode {
@@ -87,6 +88,9 @@ func (p *execPool) take(cfg *Config, ch chooser, execIndex int, scratch any) *Sy
 	s.mutexes = s.mutexes[:0]
 	s.symClasses = s.symClasses[:0]
 	s.fpSC = fpPair{}
+	s.fpLocSum, s.fpMutexSum = fpKey{}, fpKey{}
+	s.fpDirtyLocs = s.fpDirtyLocs[:0]
+	s.fpDirtyMutexes = s.fpDirtyMutexes[:0]
 	s.redSpinBounds = 0
 	s.redSymPrunes = 0
 	s.actionCount = 0

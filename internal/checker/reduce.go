@@ -2,7 +2,8 @@ package checker
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -146,6 +147,13 @@ type fpKey struct{ a, b uint64 }
 func (k *fpKey) add(e fpKey) {
 	k.a += e.a
 	k.b += e.b
+}
+
+// sub removes an element add folded in, so a running sum can replace
+// an element's stale value with its current one.
+func (k *fpKey) sub(e fpKey) {
+	k.a -= e.a
+	k.b -= e.b
 }
 
 // fpEntry hashes a tagged tuple into one multiset element.
@@ -400,6 +408,7 @@ func (s *System) fpMoOp(loc *location, op uint64, writer *Thread, val uint64) {
 	loc.fpMo.push(writer.canon)
 	loc.fpMo.push(uint64(writer.tseq))
 	loc.fpMo.push(val)
+	s.fpTouchLoc(loc)
 }
 
 // fpSCOp appends one action to the global seq_cst order stream. Hooked
@@ -424,11 +433,51 @@ func (s *System) fpMutexOp(m *Mutex, op uint64, t *Thread, outcome uint64) {
 	m.fp.push(t.canon)
 	m.fp.push(uint64(t.tseq))
 	m.fp.push(outcome)
+	s.fpTouchMutex(m)
 	t.fp.push(op)
 	t.fp.push(m.canonA)
 	t.fp.push(uint64(m.canonSeq))
 	t.fp.push(outcome)
 	t.fp.push(0)
+}
+
+// fpTouchLoc marks loc's entry in the location multiset sum stale (its
+// stream moved, or it was just created); fpFlush refolds it.
+func (s *System) fpTouchLoc(l *location) {
+	if !l.fpDirty {
+		l.fpDirty = true
+		s.fpDirtyLocs = append(s.fpDirtyLocs, l)
+	}
+}
+
+// fpTouchMutex is fpTouchLoc for the mutex multiset sum.
+func (s *System) fpTouchMutex(m *Mutex) {
+	if !m.fpDirty {
+		m.fpDirty = true
+		s.fpDirtyMutexes = append(s.fpDirtyMutexes, m)
+	}
+}
+
+// fpFlush brings the location and mutex multiset sums up to date by
+// replacing each stale element's old entry with its current one. The
+// sums are commutative, so they equal a fold over every location and
+// mutex from scratch — the same key, at the cost of the elements that
+// changed since the last fingerprint instead of all of them.
+func (s *System) fpFlush() {
+	for _, l := range s.fpDirtyLocs {
+		e := fpEntry(fpTagLoc, l.canonA, uint64(l.canonSeq), l.fpMo.a, l.fpMo.b)
+		s.fpLocSum.sub(l.fpEnt)
+		s.fpLocSum.add(e)
+		l.fpEnt, l.fpDirty = e, false
+	}
+	s.fpDirtyLocs = s.fpDirtyLocs[:0]
+	for _, m := range s.fpDirtyMutexes {
+		e := fpEntry(fpTagMutex, m.canonA, uint64(m.canonSeq), m.fp.a, m.fp.b)
+		s.fpMutexSum.sub(m.fpEnt)
+		s.fpMutexSum.add(e)
+		m.fpEnt, m.fpDirty = e, false
+	}
+	s.fpDirtyMutexes = s.fpDirtyMutexes[:0]
 }
 
 // --- state fingerprint ---
@@ -475,7 +524,9 @@ func boolW(b bool) uint64 {
 // budget spent, and the decision site itself (kind + active thread +
 // location). Everything is folded commutatively, so registry iteration
 // order is irrelevant; each component is an order-sensitive stream
-// internally.
+// internally. The location and mutex parts are running sums (fpFlush):
+// a branch point rehashes only the locations and mutexes touched since
+// the previous one.
 func (s *System) stateFingerprint(kind byte, active *Thread, loc *location) fpKey {
 	var acc fpKey
 	for _, t := range s.threads {
@@ -492,12 +543,9 @@ func (s *System) stateFingerprint(kind byte, active *Thread, loc *location) fpKe
 			uint64(t.state), uint64(t.tseq), enabled,
 			boolW(t.lastResortEpoch == s.storeEpoch), boolW(t.skipNextPark), ra, rb))
 	}
-	for _, l := range s.locs {
-		acc.add(fpEntry(fpTagLoc, l.canonA, uint64(l.canonSeq), l.fpMo.a, l.fpMo.b))
-	}
-	for _, m := range s.mutexes {
-		acc.add(fpEntry(fpTagMutex, m.canonA, uint64(m.canonSeq), m.fp.a, m.fp.b))
-	}
+	s.fpFlush()
+	acc.add(s.fpLocSum)
+	acc.add(s.fpMutexSum)
 	acc.add(fpEntry(fpTagSC, s.fpSC.a, s.fpSC.b))
 	if af, ok := s.Aux.(AuxFingerprinter); ok {
 		a, b := af.ReduceFingerprint()
@@ -520,12 +568,14 @@ func (s *System) stateFingerprint(kind byte, active *Thread, loc *location) fpKe
 // system's scratch buffer — seenPrefix copies what it keeps.
 func (s *System) sleepSignature() []uint64 {
 	buf := s.fpSleepBuf[:0]
-	for tid, sig := range s.sleep.m {
+	for m := s.sleep.mask; m != 0; m &= m - 1 {
+		tid := bits.TrailingZeros64(m)
+		sig := s.sleep.sigs[tid]
 		ra, rb := s.sleepResource(sig)
 		e := fpEntry(s.canonOf(tid), uint64(sig.class), ra, rb, boolW(sig.write), boolW(sig.sc))
 		buf = append(buf, e.a^e.b)
 	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
+	slices.Sort(buf)
 	s.fpSleepBuf = buf
 	return buf
 }

@@ -1,5 +1,7 @@
 package checker
 
+import "math/bits"
+
 // pendSig describes the visible operation a parked thread is about to
 // perform — enough to decide dependency for the sleep-set reduction.
 type pendSig struct {
@@ -73,32 +75,40 @@ func dependent(a, b pendSig) bool {
 	return false
 }
 
+// maxSleepThreads is the width of the sleep set's bitmask, and so the
+// largest Config.MaxThreads Validate accepts.
+const maxSleepThreads = 64
+
 // sleepSet tracks threads that are asleep in the current subtree: their
 // next operation was already explored in an earlier sibling, and running
 // them now would reproduce an equivalent interleaving. A sleeping thread
 // wakes when a dependent operation executes.
+//
+// Thread ids are dense and below maxSleepThreads, so the set is a
+// bitmask over a tid-indexed signature array: every operation checks
+// wake, and with no sleepers (the common case) that is one compare.
 type sleepSet struct {
-	m map[int]pendSig
+	mask uint64
+	sigs [maxSleepThreads]pendSig
 }
 
-func newSleepSet() *sleepSet { return &sleepSet{m: map[int]pendSig{}} }
+// clear empties the set in place.
+func (s *sleepSet) clear() { s.mask = 0 }
 
-// clear empties the set in place, so a pooled execution reuses the map.
-func (s *sleepSet) clear() { clear(s.m) }
-
-func (s *sleepSet) sleep(tid int, sig pendSig) { s.m[tid] = sig }
-
-func (s *sleepSet) asleep(tid int) bool {
-	_, ok := s.m[tid]
-	return ok
+func (s *sleepSet) sleep(tid int, sig pendSig) {
+	s.mask |= 1 << uint(tid)
+	s.sigs[tid] = sig
 }
+
+func (s *sleepSet) asleep(tid int) bool { return s.mask&(1<<uint(tid)) != 0 }
 
 // wake removes every sleeper whose pending operation is dependent with
 // the operation that just executed.
 func (s *sleepSet) wake(executed pendSig) {
-	for tid, sig := range s.m {
-		if dependent(sig, executed) {
-			delete(s.m, tid)
+	for m := s.mask; m != 0; m &= m - 1 {
+		tid := bits.TrailingZeros64(m)
+		if dependent(s.sigs[tid], executed) {
+			s.mask &^= 1 << uint(tid)
 		}
 	}
 }

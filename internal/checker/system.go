@@ -94,6 +94,14 @@ type System struct {
 	redSpinBounds int
 	redSymPrunes  int
 
+	// fpLocSum/fpMutexSum are the location and mutex multiset parts of
+	// the state fingerprint, refolded by fpFlush from the elements
+	// fpTouchLoc/fpTouchMutex listed in fpDirtyLocs/fpDirtyMutexes.
+	fpLocSum       fpKey
+	fpMutexSum     fpKey
+	fpDirtyLocs    []*location
+	fpDirtyMutexes []*Mutex
+
 	// schedDone is how the baton-passing scheduler returns control to
 	// runExecution: scheduling decisions run inline in whichever thread
 	// goroutine holds the baton (see Thread.park), and the holder whose
@@ -126,7 +134,7 @@ type System struct {
 	specReport SpecReport
 
 	// sleep is the sleep set of the current exploration subtree.
-	sleep *sleepSet
+	sleep sleepSet
 
 	// Aux carries per-execution state for higher layers (the CDSSpec
 	// monitor installs itself here from the OnRunStart hook). A pooled
@@ -270,12 +278,19 @@ func (s *System) newThread(name string, fn func(*Thread), src *memmodel.ClockVec
 	return t
 }
 
+// newAtomic and newPlain hand out the handle embedded in the new
+// location, so a pooled location brings its handle along and creating
+// one allocates nothing.
 func (s *System) newAtomic(name string) *Atomic {
-	return &Atomic{loc: s.newLocation(name, true), sys: s}
+	l := s.newLocation(name, true)
+	l.atomicH = Atomic{loc: l, sys: s}
+	return &l.atomicH
 }
 
 func (s *System) newPlain(name string) *Plain {
-	return &Plain{loc: s.newLocation(name, false), sys: s}
+	l := s.newLocation(name, false)
+	l.plainH = Plain{loc: l, sys: s}
+	return &l.plainH
 }
 
 // newLocation registers a location. Creation is ordered just before the
@@ -315,6 +330,10 @@ func (s *System) newLocation(name string, atomic bool) *location {
 	l.creatorTSeq = tseq
 	l.canonA, l.canonSeq = canonA, canonSeq
 	l.fpMo = fpPair{}
+	l.fpEnt, l.fpDirty = fpKey{}, false
+	if s.cfg.rfSeen != nil {
+		s.fpTouchLoc(l)
+	}
 	s.locs = append(s.locs, l)
 	return l
 }
@@ -452,8 +471,9 @@ func (s *System) freeClock(cv *memmodel.ClockVector) {
 }
 
 // sweepFast returns every action and clock still alive in a store buffer
-// to the free lists — called between pooled fast-mode runs so the next
-// run starts with warm free lists instead of allocating.
+// or a thread (release-fence and finish clocks) to the free lists —
+// called between pooled fast-mode runs so the next run starts with warm
+// free lists instead of allocating.
 func (s *System) sweepFast() {
 	for _, loc := range s.locs {
 		for i := range loc.stores {
@@ -471,6 +491,10 @@ func (s *System) sweepFast() {
 		if t.relFence != nil {
 			s.freeClock(t.relFence)
 			t.relFence = nil
+		}
+		if t.finishClock != nil {
+			s.freeClock(t.finishClock)
+			t.finishClock = nil
 		}
 	}
 }

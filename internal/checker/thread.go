@@ -106,6 +106,11 @@ type Thread struct {
 
 	fn     func(*Thread)
 	resume chan struct{}
+	// parked carries the one signal a run sends when it is over. It is
+	// buffered (one slot, one send per run), so a finishing thread
+	// never waits for reap: it signals and goes straight back to waiting
+	// for its next start grant, one goroutine park instead of two plus a
+	// wake-up from reap.
 	parked chan struct{}
 	// looping reports that a pooled slot's goroutine is alive in
 	// threadLoop (see execPool); unpooled threads never set it.
@@ -126,7 +131,7 @@ func newThreadStruct(s *System, id int, name string, fn func(*Thread), clock *me
 		classIdx:        -1,
 		fn:              fn,
 		resume:          make(chan struct{}),
-		parked:          make(chan struct{}),
+		parked:          make(chan struct{}, 1),
 	}
 }
 
@@ -348,6 +353,7 @@ func (t *Thread) NewMutex(name string) *Mutex {
 		// per-creator allocation index).
 		t.allocSeq++
 		m.canonA, m.canonSeq = t.sys.canonOf(t.id), t.allocSeq
+		t.sys.fpTouchMutex(m)
 	}
 	t.sys.mutexes = append(t.sys.mutexes, m)
 	return m
@@ -374,8 +380,9 @@ func (t *Thread) threadLoop() {
 
 // run executes the thread for one execution, starting at the start
 // grant its caller just received. However the run ends — normal return,
-// abort, user panic — it passes the baton on and signals parked, which
-// reap consumes before the Thread can be recycled.
+// abort, user panic — it passes the baton on and signals parked (without
+// blocking: the channel has room for it), which reap consumes before the
+// Thread can be recycled.
 func (t *Thread) run() {
 	returned := false
 	defer func() {
@@ -397,7 +404,7 @@ func (t *Thread) run() {
 			// this function, so the slot needs a new one next time.
 			t.looping = false
 		}
-		t.finishClock = t.clock.Share()
+		t.finishClock = t.sys.snap(t.clock)
 		t.state = tsFinished
 		// A finishing (or unwinding) thread holds the baton: pass it on
 		// exactly as park would, unless reap is already collecting

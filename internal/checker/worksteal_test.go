@@ -150,8 +150,9 @@ func TestParallelDeterminism(t *testing.T) {
 // Explore(Config{}) of a program with a single execution. The sequential
 // DFS loop this engine replaced cost 44 allocations, and routing it
 // through the engine unchanged cost 62 (context, sync.Cond, scratch map,
-// deque ring, watcher channel, first leaf clone); the engine now costs 46.
-// The gate sits 2 above that.
+// deque ring, watcher channel, first leaf clone); the engine cost 46,
+// and 44 since the sleep set is a value in the System and a location
+// carries its own handle. The gate sits about 10% above that.
 func TestExploreFixedAllocs(t *testing.T) {
 	prog := func(root *Thread) {
 		x := root.NewAtomicInit("x", 0)

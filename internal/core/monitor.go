@@ -23,6 +23,10 @@ type Monitor struct {
 	// noScratch backs the check when no shard cache (and thus no shared
 	// checkScratch) is available — direct Check() calls from unit tests.
 	noScratch checkScratch
+	// fpChain is ReduceFingerprint's hash chain over calls[:fpDone], all
+	// ended (see ReduceFingerprint and touch).
+	fpChain reducePair
+	fpDone  int
 }
 
 // monThread is the monitor's state for one simulated thread.
@@ -56,6 +60,7 @@ func Install(sys *checker.System, spec *Spec) *Monitor {
 // backing array (and the recycled Call structs) for reuse.
 func (m *Monitor) reset() {
 	m.calls = m.calls[:0]
+	m.fpChain, m.fpDone = reducePair{}, 0
 	for i := range m.threads {
 		m.threads[i].depth = 0
 		m.threads[i].muts = 0
@@ -147,9 +152,20 @@ func (m *Monitor) Begin(t *checker.Thread, name string, args ...memmodel.Value) 
 	return &c.ctx
 }
 
+// mut accounts one spec-state mutation through x: it bumps the thread's
+// mutation counter (ReduceThreadMuts) and, for a recording context whose
+// call ReduceFingerprint has already folded, drops that cache (touch).
+// Every CallCtx mutator calls it before changing anything.
+func (x *CallCtx) mut() {
+	x.m.mut(x.tid)
+	if x.call != nil {
+		x.m.touch(x.call)
+	}
+}
+
 // end closes the context's call level on its thread.
 func (x *CallCtx) end() {
-	x.m.mut(x.tid)
+	x.mut()
 	x.m.threads[x.tid].depth--
 }
 
@@ -184,7 +200,7 @@ func (x *CallCtx) SetAux(key string, v memmodel.Value) {
 	if x == nil || x.call == nil {
 		return
 	}
-	x.m.mut(x.tid)
+	x.mut()
 	x.call.SetAux(key, v)
 }
 
@@ -195,7 +211,7 @@ func (x *CallCtx) OPDefine(t *checker.Thread, cond bool) {
 		return
 	}
 	if a := t.LastAction(); a != nil {
-		x.m.mut(x.tid)
+		x.mut()
 		x.call.OPs = append(x.call.OPs, a)
 	}
 }
@@ -206,7 +222,7 @@ func (x *CallCtx) OPClear(t *checker.Thread, cond bool) {
 	if x == nil || x.call == nil || !cond {
 		return
 	}
-	x.m.mut(x.tid)
+	x.mut()
 	x.call.OPs = x.call.OPs[:0]
 	x.call.potentials = x.call.potentials[:0]
 }
@@ -230,7 +246,7 @@ func (x *CallCtx) PotentialOP(t *checker.Thread, label string, cond bool) {
 		return
 	}
 	if a := t.LastAction(); a != nil {
-		x.m.mut(x.tid)
+		x.mut()
 		x.call.potentials = append(x.call.potentials, potentialOP{label: label, act: a})
 	}
 }
@@ -241,7 +257,7 @@ func (x *CallCtx) OPCheck(t *checker.Thread, label string, cond bool) {
 	if x == nil || x.call == nil || !cond {
 		return
 	}
-	x.m.mut(x.tid)
+	x.mut()
 	kept := x.call.potentials[:0]
 	for _, p := range x.call.potentials {
 		if p.label == label {

@@ -428,3 +428,68 @@ func TestMonitorReuseAcrossExecutions(t *testing.T) {
 		}
 	}
 }
+
+// TestReduceFingerprintCacheMatchesRecompute: ReduceFingerprint caches
+// its hash chain over the longest prefix of ended calls. At every
+// annotation of every execution the cached result must equal a hash
+// from scratch (a monitor with the same record and an empty cache),
+// including after CallCtx mutations of a call that already ended and
+// was folded into the cache.
+func TestReduceFingerprintCacheMatchesRecompute(t *testing.T) {
+	var checks, lateFolded int
+	var mismatch []string
+	check := func(tt *checker.Thread, where string) {
+		checks++
+		m := Of(tt)
+		ca, cb := m.ReduceFingerprint()
+		fa, fb := (&Monitor{calls: m.calls, threads: m.threads}).ReduceFingerprint()
+		if (ca != fa || cb != fb) && len(mismatch) < 5 {
+			mismatch = append(mismatch, fmt.Sprintf("execution %d, T%d %s: cached (%x,%x), recomputed (%x,%x)",
+				tt.Sys().ExecIndex(), tt.ID(), where, ca, cb, fa, fb))
+		}
+	}
+	body := func(tt *checker.Thread, x *checker.Atomic, v memmodel.Value) {
+		m := Of(tt)
+		c := m.Begin(tt, "m", v)
+		check(tt, "begin")
+		x.Store(tt, memmodel.Release, v)
+		c.OPDefine(tt, true)
+		check(tt, "OPDefine")
+		c.End(tt, v)
+		check(tt, "End")
+		_ = x.Load(tt, memmodel.Acquire)
+		if c.call.ID < m.fpDone {
+			lateFolded++
+		}
+		// Mutations after End, of a call the cache may hold.
+		c.SetAux("late", v)
+		check(tt, "SetAux after End")
+		c.PotentialOP(tt, "p", true)
+		check(tt, "PotentialOP after End")
+		c.OPCheck(tt, "p", true)
+		check(tt, "OPCheck after End")
+		c.OPClear(tt, true)
+		check(tt, "OPClear after End")
+		c.End(tt, v+10)
+		check(tt, "second End")
+	}
+	prog := func(root *checker.Thread) {
+		x := root.NewAtomicInit("x", 0)
+		a := root.Spawn("a", func(tt *checker.Thread) { body(tt, x, 1) })
+		b := root.Spawn("b", func(tt *checker.Thread) { body(tt, x, 2) })
+		root.Join(a)
+		root.Join(b)
+		check(root, "after joins")
+	}
+	spec := trivialSpec()
+	res := checker.Explore(checker.Config{OnRunStart: func(sys *checker.System) { Install(sys, spec) }}, prog)
+	if !res.Exhausted || res.Feasible == 0 {
+		t.Fatalf("exploration did not complete: %v", res)
+	}
+	for _, m := range mismatch {
+		t.Error(m)
+	}
+	if lateFolded == 0 {
+		t.Errorf("no post-End mutation hit a call inside the cached prefix (%d checks); the test does not exercise invalidation", checks)
+	}
+}

@@ -51,8 +51,9 @@ func reduceBool(b bool) uint64 {
 
 // ReduceFingerprint hashes the monitor's full recorded state — every
 // call in begin order with identity, arguments, return, ordering points,
-// pending potentials, aux values, and open/closed status, plus the
-// per-thread nesting depths. It implements checker.AuxFingerprinter.
+// pending potentials, aux values, and open/closed status, then the call
+// count and the per-thread nesting depths. It implements
+// checker.AuxFingerprinter.
 //
 // Thread identity is the raw tid (the same identity the spec-check
 // fingerprint in cache.go serializes), not the checker's canonical id:
@@ -62,37 +63,23 @@ func reduceBool(b bool) uint64 {
 // Ordering points are identified by (thread, per-thread sequence
 // number), which replay reproduces exactly; trace IDs are not used (they
 // shift with unrelated interleaving).
+//
+// The reduction asks at every fresh branch point, and an ended call
+// rarely changes again, so the chain over the longest prefix of ended
+// calls is cached (fpChain, fpDone) and only the calls after it are
+// hashed per request. A CallCtx mutation of a call inside the cached
+// prefix drops the cache (touch), so the result always equals a hash
+// from scratch.
 func (m *Monitor) ReduceFingerprint() (uint64, uint64) {
-	var p reducePair
-	p.push(uint64(len(m.calls)))
-	for _, c := range m.calls {
-		p.push(uint64(c.ID))
-		p.push(uint64(c.Thread))
-		p.pushString(c.Name)
-		p.push(uint64(len(c.Args)))
-		for _, a := range c.Args {
-			p.push(uint64(a))
-		}
-		p.push(reduceBool(c.HasRet))
-		p.push(uint64(c.Ret))
-		p.push(reduceBool(c.ended))
-		p.push(uint64(len(c.OPs)))
-		for _, a := range c.OPs {
-			p.push(uint64(a.Thread))
-			p.push(uint64(a.TSeq))
-		}
-		p.push(uint64(len(c.potentials)))
-		for _, pot := range c.potentials {
-			p.pushString(pot.label)
-			p.push(uint64(pot.act.Thread))
-			p.push(uint64(pot.act.TSeq))
-		}
-		p.push(uint64(len(c.aux)))
-		for _, e := range c.aux {
-			p.pushString(e.key)
-			p.push(uint64(e.v))
-		}
+	for m.fpDone < len(m.calls) && m.calls[m.fpDone].ended {
+		m.calls[m.fpDone].reduceFold(&m.fpChain)
+		m.fpDone++
 	}
+	p := m.fpChain
+	for _, c := range m.calls[m.fpDone:] {
+		c.reduceFold(&p)
+	}
+	p.push(uint64(len(m.calls)))
 	// Nesting depths fold commutatively (the fold predates the per-tid
 	// table and keeps its values); zero depths are absent-equivalent and
 	// skipped.
@@ -110,6 +97,46 @@ func (m *Monitor) ReduceFingerprint() (uint64, uint64) {
 	p.push(da)
 	p.push(db)
 	return p.a, p.b
+}
+
+// reduceFold chains the call's recorded state into p. Every variable-
+// length part is length-prefixed, so the chain over a sequence of calls
+// is unambiguous.
+func (c *Call) reduceFold(p *reducePair) {
+	p.push(uint64(c.ID))
+	p.push(uint64(c.Thread))
+	p.pushString(c.Name)
+	p.push(uint64(len(c.Args)))
+	for _, a := range c.Args {
+		p.push(uint64(a))
+	}
+	p.push(reduceBool(c.HasRet))
+	p.push(uint64(c.Ret))
+	p.push(reduceBool(c.ended))
+	p.push(uint64(len(c.OPs)))
+	for _, a := range c.OPs {
+		p.push(uint64(a.Thread))
+		p.push(uint64(a.TSeq))
+	}
+	p.push(uint64(len(c.potentials)))
+	for _, pot := range c.potentials {
+		p.pushString(pot.label)
+		p.push(uint64(pot.act.Thread))
+		p.push(uint64(pot.act.TSeq))
+	}
+	p.push(uint64(len(c.aux)))
+	for _, e := range c.aux {
+		p.pushString(e.key)
+		p.push(uint64(e.v))
+	}
+}
+
+// touch is called before a CallCtx mutates c: when c is already folded
+// into ReduceFingerprint's cached chain, the cache is dropped.
+func (m *Monitor) touch(c *Call) {
+	if c.ID < m.fpDone {
+		m.fpChain, m.fpDone = reducePair{}, 0
+	}
 }
 
 // ReduceThreadMuts reports how many spec-layer mutations thread tid has

@@ -11,9 +11,11 @@ import (
 // core.Explore execution costs, measured as the runtime.MemStats.Mallocs
 // delta over Result.Executions. The count is deterministic up to a
 // little runtime noise, so unlike wall clock it can gate CI. The bounds
-// sit between the pooled spec monitor (about 37 on the M&S Queue and 19
-// on Seqlock) and the per-call-map monitor it replaced (about 66 and 47):
-// a return to per-execution monitor or per-call map allocation fails.
+// sit about 10% above the measured costs (M&S Queue 10.9, Seqlock 4.1,
+// MPMC Queue 6.4). An execution still allocates the structure object,
+// the program's spawn closures and the engine's decision bookkeeping;
+// a location handle, name, order table, clock or monitor call allocated
+// per execution again fails the gate.
 func TestSpecAllocsPerExecution(t *testing.T) {
 	if testing.Short() {
 		t.Skip("explores two Figure 7 rows exhaustively")
@@ -22,8 +24,9 @@ func TestSpecAllocsPerExecution(t *testing.T) {
 		name  string
 		bound float64
 	}{
-		{"M&S Queue", 45},
-		{"Seqlock", 25},
+		{"M&S Queue", 12},
+		{"Seqlock", 4.5},
+		{"MPMC Queue", 7},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := BenchmarkByName(tc.name)
@@ -39,7 +42,7 @@ func TestSpecAllocsPerExecution(t *testing.T) {
 			per := float64(after.Mallocs-before.Mallocs) / float64(res.Executions)
 			t.Logf("%s: %.1f allocs/exec over %d executions", tc.name, per, res.Executions)
 			if per > tc.bound {
-				t.Errorf("%s: %.1f allocs per execution, want <= %.0f", tc.name, per, tc.bound)
+				t.Errorf("%s: %.1f allocs per execution, want <= %g", tc.name, per, tc.bound)
 			}
 		})
 	}

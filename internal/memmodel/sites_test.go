@@ -142,3 +142,31 @@ func TestSiteLookup(t *testing.T) {
 		t.Error("Site lookup of unknown name succeeded")
 	}
 }
+
+// TestOrderTableIntern: interning a table's own declaration shares its
+// order storage (a later Set is visible); any other site list resolves
+// by name into a copy, and an unknown site panics as in Get.
+func TestOrderTableIntern(t *testing.T) {
+	tb := sampleTable()
+	shared := tb.Intern(tb.Declared())
+	copied := tb.Intern(tb.Sites())
+	tb.Set("load_a", Relaxed)
+	if shared[0] != Relaxed {
+		t.Errorf("shared interned order = %v, want the later Set's relaxed", shared[0])
+	}
+	for i, s := range tb.Sites() {
+		if s.Name == "load_a" {
+			if copied[i] != Acquire {
+				t.Errorf("copied interned order = %v, want the acquire it was resolved at", copied[i])
+			}
+		} else if copied[i] != tb.Get(s.Name) {
+			t.Errorf("copied %s = %v, Get = %v", s.Name, copied[i], tb.Get(s.Name))
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Intern of an unknown site should panic")
+		}
+	}()
+	tb.Intern([]Site{{Name: "nope"}})
+}

@@ -353,6 +353,15 @@ func (s *Server) failLocked(j *job, msg string) {
 	j.state = StateFailed
 	j.err = msg
 	s.publishLocked(j, Event{ID: j.id, State: StateFailed, Error: msg})
+	j.releaseLocked()
+}
+
+// releaseLocked drops what only a live job needs — its latest progress
+// snapshot and its interrupt channel — once the job is terminal. A
+// daemon keeps every job it has run, so these would otherwise stay
+// allocated for its whole life. Caller holds s.mu.
+func (j *job) releaseLocked() {
+	j.progress, j.stop, j.stopOnce = nil, nil, nil
 }
 
 // runJob runs one job to a terminal (or suspended) state. Called off the
@@ -424,6 +433,7 @@ func (s *Server) runJob(j *job) {
 	j.state = state
 	j.summary = summary
 	s.publishLocked(j, Event{ID: j.id, State: state, Summary: summary})
+	j.releaseLocked()
 	s.cfg.Logf("service: job %s (%s %s) -> %s", j.id, j.spec.KindOrDefault(), j.spec.Benchmark, state)
 }
 
@@ -616,6 +626,9 @@ func (s *Server) unsubscribe(id string, ch chan Event) {
 	defer s.mu.Unlock()
 	if j, ok := s.jobs[id]; ok {
 		delete(j.subs, ch)
+		if len(j.subs) == 0 {
+			j.subs = nil // the last watcher left; subscribe makes a new map
+		}
 	}
 }
 

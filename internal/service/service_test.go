@@ -318,6 +318,22 @@ func TestServiceWatch(t *testing.T) {
 	if progressEvents == 0 {
 		t.Error("watch saw no progress events over a ~250ms exploration")
 	}
+	// A daemon keeps every job it has run: once terminal, and once its
+	// last watcher has left, the job holds no live-only state.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		srv.mu.Lock()
+		j := srv.jobs[v.ID]
+		live := j.progress != nil || j.stop != nil || j.stopOnce != nil || j.subs != nil
+		srv.mu.Unlock()
+		if !live {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("finished job still holds its progress, interrupt channel or subscriber map")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	if _, err := cl.Watch("j999999", nil); err == nil {
 		t.Error("watching an unknown job succeeded")
 	}

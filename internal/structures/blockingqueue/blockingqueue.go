@@ -27,17 +27,36 @@ const (
 	SiteDeqCASHead   = "deq_cas_head"
 )
 
-// DefaultOrders returns the memory orders of Figure 2.
-func DefaultOrders() *memmodel.OrderTable {
-	return memmodel.NewOrderTable(
-		memmodel.Site{Name: SiteEnqLoadTail, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteEnqCASNext, Class: memmodel.OpRMW, Default: memmodel.Release},
-		memmodel.Site{Name: SiteEnqStoreTail, Class: memmodel.OpStore, Default: memmodel.Release},
-		memmodel.Site{Name: SiteDeqLoadHead, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteDeqLoadNext, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteDeqCASHead, Class: memmodel.OpRMW, Default: memmodel.Release},
-	)
+// Site indices: positions in sites, and in an instance's interned
+// orders.
+const (
+	siteEnqLoadTail = iota
+	siteEnqCASNext
+	siteEnqStoreTail
+	siteDeqLoadHead
+	siteDeqLoadNext
+	siteDeqCASHead
+	numSites
+)
+
+// sites declares the memory-order sites (DefaultOrders documents the
+// choices). Every table built from it shares it as its declaration,
+// which lets New intern a table's orders without a lookup.
+var sites = [numSites]memmodel.Site{
+	siteEnqLoadTail:  {Name: SiteEnqLoadTail, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteEnqCASNext:   {Name: SiteEnqCASNext, Class: memmodel.OpRMW, Default: memmodel.Release},
+	siteEnqStoreTail: {Name: SiteEnqStoreTail, Class: memmodel.OpStore, Default: memmodel.Release},
+	siteDeqLoadHead:  {Name: SiteDeqLoadHead, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteDeqLoadNext:  {Name: SiteDeqLoadNext, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteDeqCASHead:   {Name: SiteDeqCASHead, Class: memmodel.OpRMW, Default: memmodel.Release},
 }
+
+// defaultOrders backs New when no table is given; it is never
+// modified.
+var defaultOrders = DefaultOrders()
+
+// DefaultOrders returns the memory orders of Figure 2.
+func DefaultOrders() *memmodel.OrderTable { return memmodel.NewOrderTable(sites[:]...) }
 
 // node is a queue node; nodes are identified by 1-based handles, 0 is
 // NULL. The data field is a plain (race-detected) location, as in the
@@ -47,11 +66,26 @@ type node struct {
 	data *checker.Plain
 }
 
+// names are the location and method names of one instance.
+type names struct{ tail, head, next, data, enq, deq string }
+
+var instNames = core.NewNames(func(inst string) names {
+	return names{
+		tail: inst + ".tail",
+		head: inst + ".head",
+		next: inst + ".next",
+		data: inst + ".data",
+		enq:  inst + ".enq",
+		deq:  inst + ".deq",
+	}
+})
+
 // Queue is the simulated blocking queue.
 type Queue struct {
-	name string
-	ord  *memmodel.OrderTable
-	mon  *core.Monitor
+	names *names
+	// ord holds the interned orders, indexed by site constant.
+	ord []memmodel.MemOrder
+	mon *core.Monitor
 
 	tail, head *checker.Atomic
 	nodes      []*node // index 0 unused (NULL)
@@ -61,13 +95,14 @@ type Queue struct {
 // does. The instance name prefixes its method names in the spec.
 func New(t *checker.Thread, name string, ord *memmodel.OrderTable) *Queue {
 	if ord == nil {
-		ord = DefaultOrders()
+		ord = defaultOrders
 	}
-	q := &Queue{name: name, ord: ord, mon: core.Of(t)}
+	nm := instNames.Of(name)
+	q := &Queue{names: nm, ord: ord.Intern(sites[:]), mon: core.Of(t)}
 	q.nodes = append(q.nodes, nil) // handle 0 = NULL
 	dummy := q.newNode(t, 0)
-	q.tail = t.NewAtomicInit(name+".tail", dummy)
-	q.head = t.NewAtomicInit(name+".head", dummy)
+	q.tail = t.NewAtomicInit(nm.tail, dummy)
+	q.head = t.NewAtomicInit(nm.head, dummy)
 	return q
 }
 
@@ -78,8 +113,8 @@ func (q *Queue) newNode(t *checker.Thread, val memmodel.Value) memmodel.Value {
 	h := memmodel.Value(len(q.nodes))
 	n := &node{}
 	q.nodes = append(q.nodes, n)
-	n.next = t.NewAtomicInit(q.name+".next", 0)
-	n.data = t.NewPlainInit(q.name+".data", val)
+	n.next = t.NewAtomicInit(q.names.next, 0)
+	n.data = t.NewPlainInit(q.names.data, val)
 	return h
 }
 
@@ -88,13 +123,13 @@ func (q *Queue) node(h memmodel.Value) *node { return q.nodes[h] }
 // Enq appends val to the queue (Figure 2 lines 4–14, annotated as in
 // Figure 6).
 func (q *Queue) Enq(t *checker.Thread, val memmodel.Value) {
-	c := q.mon.Begin(t, q.name+".enq", val)
+	c := q.mon.Begin(t, q.names.enq, val)
 	n := q.newNode(t, val)
 	for {
-		tl := q.tail.Load(t, q.ord.Get(SiteEnqLoadTail))
-		if _, ok := q.node(tl).next.CAS(t, 0, n, q.ord.Get(SiteEnqCASNext), memmodel.Relaxed); ok {
+		tl := q.tail.Load(t, q.ord[siteEnqLoadTail])
+		if _, ok := q.node(tl).next.CAS(t, 0, n, q.ord[siteEnqCASNext], memmodel.Relaxed); ok {
 			c.OPDefine(t, true) // @OPDefine: true (the successful CAS)
-			q.tail.Store(t, q.ord.Get(SiteEnqStoreTail), n)
+			q.tail.Store(t, q.ord[siteEnqStoreTail], n)
 			c.EndVoid(t)
 			return
 		}
@@ -105,16 +140,16 @@ func (q *Queue) Enq(t *checker.Thread, val memmodel.Value) {
 // Deq removes and returns the oldest element, or Empty (Figure 2 lines
 // 15–23, annotated as in Figure 6).
 func (q *Queue) Deq(t *checker.Thread) memmodel.Value {
-	c := q.mon.Begin(t, q.name+".deq")
+	c := q.mon.Begin(t, q.names.deq)
 	for {
-		h := q.head.Load(t, q.ord.Get(SiteDeqLoadHead))
-		n := q.node(h).next.Load(t, q.ord.Get(SiteDeqLoadNext))
+		h := q.head.Load(t, q.ord[siteDeqLoadHead])
+		n := q.node(h).next.Load(t, q.ord[siteDeqLoadNext])
 		c.OPClearDefine(t, true) // @OPClearDefine: the last iteration's load
 		if n == 0 {
 			c.End(t, Empty)
 			return Empty
 		}
-		if _, ok := q.head.CAS(t, h, n, q.ord.Get(SiteDeqCASHead), memmodel.Relaxed); ok {
+		if _, ok := q.head.CAS(t, h, n, q.ord[siteDeqCASHead], memmodel.Relaxed); ok {
 			v := q.node(n).data.Load(t)
 			c.End(t, v)
 			return v

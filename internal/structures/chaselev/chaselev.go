@@ -40,21 +40,44 @@ const (
 	SiteStealCASTop  = "steal_cas_top"
 )
 
-// DefaultOrders returns the bug-fixed orders of [34].
-func DefaultOrders() *memmodel.OrderTable {
-	return memmodel.NewOrderTable(
-		memmodel.Site{Name: SitePushLoadTop, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SitePushPublish, Class: memmodel.OpStore, Default: memmodel.Release},
-		memmodel.Site{Name: SitePushFence, Class: memmodel.OpFence, Default: memmodel.Release},
-		memmodel.Site{Name: SiteTakeFence, Class: memmodel.OpFence, Default: memmodel.SeqCst},
-		memmodel.Site{Name: SiteTakeCASTop, Class: memmodel.OpRMW, Default: memmodel.SeqCst},
-		memmodel.Site{Name: SiteStealLoadTop, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteStealFence, Class: memmodel.OpFence, Default: memmodel.SeqCst},
-		memmodel.Site{Name: SiteStealLoadBot, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteStealLoadArr, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteStealCASTop, Class: memmodel.OpRMW, Default: memmodel.SeqCst},
-	)
+// Site indices: positions in sites, and in an instance's interned
+// orders.
+const (
+	sitePushLoadTop = iota
+	sitePushPublish
+	sitePushFence
+	siteTakeFence
+	siteTakeCASTop
+	siteStealLoadTop
+	siteStealFence
+	siteStealLoadBot
+	siteStealLoadArr
+	siteStealCASTop
+	numSites
+)
+
+// sites declares the memory-order sites (DefaultOrders documents the
+// choices). Every table built from it shares it as its declaration,
+// which lets New intern a table's orders without a lookup.
+var sites = [numSites]memmodel.Site{
+	sitePushLoadTop:  {Name: SitePushLoadTop, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	sitePushPublish:  {Name: SitePushPublish, Class: memmodel.OpStore, Default: memmodel.Release},
+	sitePushFence:    {Name: SitePushFence, Class: memmodel.OpFence, Default: memmodel.Release},
+	siteTakeFence:    {Name: SiteTakeFence, Class: memmodel.OpFence, Default: memmodel.SeqCst},
+	siteTakeCASTop:   {Name: SiteTakeCASTop, Class: memmodel.OpRMW, Default: memmodel.SeqCst},
+	siteStealLoadTop: {Name: SiteStealLoadTop, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteStealFence:   {Name: SiteStealFence, Class: memmodel.OpFence, Default: memmodel.SeqCst},
+	siteStealLoadBot: {Name: SiteStealLoadBot, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteStealLoadArr: {Name: SiteStealLoadArr, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteStealCASTop:  {Name: SiteStealCASTop, Class: memmodel.OpRMW, Default: memmodel.SeqCst},
 }
+
+// defaultOrders backs New when no table is given; it is never
+// modified.
+var defaultOrders = DefaultOrders()
+
+// DefaultOrders returns the bug-fixed orders of [34].
+func DefaultOrders() *memmodel.OrderTable { return memmodel.NewOrderTable(sites[:]...) }
 
 // KnownBugOrders reproduces the published bug CDSChecker found (§6.4.1):
 // the resize publication is relaxed, so a racing steal can reach buffer
@@ -80,11 +103,27 @@ type array struct {
 	cells []*checker.Atomic
 }
 
+// names are the location and method names of one instance.
+type names struct{ top, bottom, array, cell, push, take, steal string }
+
+var instNames = core.NewNames(func(inst string) names {
+	return names{
+		top:    inst + ".top",
+		bottom: inst + ".bottom",
+		array:  inst + ".array",
+		cell:   inst + ".cell",
+		push:   inst + ".push",
+		take:   inst + ".take",
+		steal:  inst + ".steal",
+	}
+})
+
 // Deque is the simulated work-stealing deque.
 type Deque struct {
-	name string
-	ord  *memmodel.OrderTable
-	mon  *core.Monitor
+	names *names
+	// ord holds the interned orders, indexed by site constant.
+	ord []memmodel.MemOrder
+	mon *core.Monitor
 	// initCells pre-initializes fresh buffer slots (used by the known-bug
 	// experiment to disable the uninitialized-load report, as the paper
 	// does to surface the wrong-value specification violation instead).
@@ -107,16 +146,17 @@ func WithInitializedCells() Option {
 // New builds a deque with the given initial capacity.
 func New(t *checker.Thread, name string, ord *memmodel.OrderTable, capacity int, opts ...Option) *Deque {
 	if ord == nil {
-		ord = DefaultOrders()
+		ord = defaultOrders
 	}
-	d := &Deque{name: name, ord: ord, mon: core.Of(t)}
+	nm := instNames.Of(name)
+	d := &Deque{names: nm, ord: ord.Intern(sites[:]), mon: core.Of(t)}
 	for _, o := range opts {
 		o(d)
 	}
 	d.newArray(t, capacity, nil, 0, 0)
-	d.top = t.NewAtomicInit(name+".top", 0)
-	d.bottom = t.NewAtomicInit(name+".bottom", 0)
-	d.arr = t.NewAtomicInit(name+".array", 0)
+	d.top = t.NewAtomicInit(nm.top, 0)
+	d.bottom = t.NewAtomicInit(nm.bottom, 0)
+	d.arr = t.NewAtomicInit(nm.array, 0)
 	return d
 }
 
@@ -127,9 +167,9 @@ func (d *Deque) newArray(t *checker.Thread, size int, old *array, top, bottom me
 	d.arrays = append(d.arrays, a)
 	for i := 0; i < size; i++ {
 		if d.initCells {
-			a.cells = append(a.cells, t.NewAtomicInit(d.name+".cell", 0))
+			a.cells = append(a.cells, t.NewAtomicInit(d.names.cell, 0))
 		} else {
-			a.cells = append(a.cells, t.NewAtomic(d.name+".cell"))
+			a.cells = append(a.cells, t.NewAtomic(d.names.cell))
 		}
 	}
 	for i := top; i != bottom; i++ {
@@ -141,39 +181,39 @@ func (d *Deque) newArray(t *checker.Thread, size int, old *array, top, bottom me
 
 // Push adds x at the bottom (owner only).
 func (d *Deque) Push(t *checker.Thread, x memmodel.Value) {
-	c := d.mon.Begin(t, d.name+".push", x)
+	c := d.mon.Begin(t, d.names.push, x)
 	b := d.bottom.Load(t, memmodel.Relaxed)
-	top := d.top.Load(t, d.ord.Get(SitePushLoadTop))
+	top := d.top.Load(t, d.ord[sitePushLoadTop])
 	ai := d.arr.Load(t, memmodel.Relaxed)
 	a := d.arrays[ai]
 	if int(b-top) > a.size-1 {
 		// Full: grow and publish the new buffer.
 		ai = d.newArray(t, a.size*2, a, top, b)
 		a = d.arrays[ai]
-		d.arr.Store(t, d.ord.Get(SitePushPublish), ai)
+		d.arr.Store(t, d.ord[sitePushPublish], ai)
 	}
 	a.cells[int(b)%a.size].Store(t, memmodel.Relaxed, x)
 	c.OPDefine(t, true) // the cell store (per §6.1)
-	checker.Fence(t, d.ord.Get(SitePushFence))
+	checker.Fence(t, d.ord[sitePushFence])
 	d.bottom.Store(t, memmodel.Relaxed, b+1)
 	c.EndVoid(t)
 }
 
 // Take removes and returns the bottom element (owner only), or Empty.
 func (d *Deque) Take(t *checker.Thread) memmodel.Value {
-	c := d.mon.Begin(t, d.name+".take")
+	c := d.mon.Begin(t, d.names.take)
 	b := d.bottom.Load(t, memmodel.Relaxed) - 1
 	ai := d.arr.Load(t, memmodel.Relaxed)
 	a := d.arrays[ai]
 	d.bottom.Store(t, memmodel.Relaxed, b)
-	checker.Fence(t, d.ord.Get(SiteTakeFence))
+	checker.Fence(t, d.ord[siteTakeFence])
 	top := d.top.Load(t, memmodel.Relaxed)
 	var x memmodel.Value
 	if int64(top) <= int64(b) {
 		x = a.cells[int(b)%a.size].Load(t, memmodel.Relaxed)
 		if top == b {
 			// Last element: race the thieves.
-			if _, ok := d.top.CAS(t, top, top+1, d.ord.Get(SiteTakeCASTop), memmodel.Relaxed); !ok {
+			if _, ok := d.top.CAS(t, top, top+1, d.ord[siteTakeCASTop], memmodel.Relaxed); !ok {
 				x = Empty
 			}
 			d.bottom.Store(t, memmodel.Relaxed, b+1)
@@ -189,16 +229,16 @@ func (d *Deque) Take(t *checker.Thread) memmodel.Value {
 
 // Steal removes and returns the top element (any thread), or Empty.
 func (d *Deque) Steal(t *checker.Thread) memmodel.Value {
-	c := d.mon.Begin(t, d.name+".steal")
-	top := d.top.Load(t, d.ord.Get(SiteStealLoadTop))
-	checker.Fence(t, d.ord.Get(SiteStealFence))
-	b := d.bottom.Load(t, d.ord.Get(SiteStealLoadBot))
+	c := d.mon.Begin(t, d.names.steal)
+	top := d.top.Load(t, d.ord[siteStealLoadTop])
+	checker.Fence(t, d.ord[siteStealFence])
+	b := d.bottom.Load(t, d.ord[siteStealLoadBot])
 	if int64(top) < int64(b) {
-		ai := d.arr.Load(t, d.ord.Get(SiteStealLoadArr))
+		ai := d.arr.Load(t, d.ord[siteStealLoadArr])
 		a := d.arrays[ai]
 		x := a.cells[int(top)%a.size].Load(t, memmodel.Relaxed)
 		c.OPClearDefine(t, true) // the cell load (per §6.1)
-		if _, ok := d.top.CAS(t, top, top+1, d.ord.Get(SiteStealCASTop), memmodel.Relaxed); !ok {
+		if _, ok := d.top.CAS(t, top, top+1, d.ord[siteStealCASTop], memmodel.Relaxed); !ok {
 			c.End(t, Empty)
 			return Empty
 		}

@@ -37,28 +37,69 @@ const (
 	SiteWriteTryFSub    = "write_trylock_fsub"
 )
 
+// Site indices: positions in sites, and in an instance's interned
+// orders.
+const (
+	siteReadLockFSub = iota
+	siteReadUndoFAdd
+	siteReadSpinLoad
+	siteReadUnlockFAdd
+	siteWriteLockFSub
+	siteWriteUndoFAdd
+	siteWriteSpinLoad
+	siteWriteUnlockFAdd
+	siteReadTryFSub
+	siteWriteTryFSub
+	numSites
+)
+
+// sites declares the memory-order sites (DefaultOrders documents the
+// choices). Every table built from it shares it as its declaration,
+// which lets New intern a table's orders without a lookup.
+var sites = [numSites]memmodel.Site{
+	siteReadLockFSub:    {Name: SiteReadLockFSub, Class: memmodel.OpRMW, Default: memmodel.Acquire},
+	siteReadUndoFAdd:    {Name: SiteReadUndoFAdd, Class: memmodel.OpRMW, Default: memmodel.Relaxed},
+	siteReadSpinLoad:    {Name: SiteReadSpinLoad, Class: memmodel.OpLoad, Default: memmodel.Relaxed},
+	siteReadUnlockFAdd:  {Name: SiteReadUnlockFAdd, Class: memmodel.OpRMW, Default: memmodel.Release},
+	siteWriteLockFSub:   {Name: SiteWriteLockFSub, Class: memmodel.OpRMW, Default: memmodel.Acquire},
+	siteWriteUndoFAdd:   {Name: SiteWriteUndoFAdd, Class: memmodel.OpRMW, Default: memmodel.Relaxed},
+	siteWriteSpinLoad:   {Name: SiteWriteSpinLoad, Class: memmodel.OpLoad, Default: memmodel.Relaxed},
+	siteWriteUnlockFAdd: {Name: SiteWriteUnlockFAdd, Class: memmodel.OpRMW, Default: memmodel.Release},
+	siteReadTryFSub:     {Name: SiteReadTryFSub, Class: memmodel.OpRMW, Default: memmodel.Acquire},
+	siteWriteTryFSub:    {Name: SiteWriteTryFSub, Class: memmodel.OpRMW, Default: memmodel.Acquire},
+}
+
+// defaultOrders backs New when no table is given; it is never
+// modified.
+var defaultOrders = DefaultOrders()
+
 // DefaultOrders returns the correct orders from the CDSChecker benchmark:
 // acquire on the lock-taking RMWs, release on the unlocks, relaxed on the
 // undo adds and the spin reads.
-func DefaultOrders() *memmodel.OrderTable {
-	return memmodel.NewOrderTable(
-		memmodel.Site{Name: SiteReadLockFSub, Class: memmodel.OpRMW, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteReadUndoFAdd, Class: memmodel.OpRMW, Default: memmodel.Relaxed},
-		memmodel.Site{Name: SiteReadSpinLoad, Class: memmodel.OpLoad, Default: memmodel.Relaxed},
-		memmodel.Site{Name: SiteReadUnlockFAdd, Class: memmodel.OpRMW, Default: memmodel.Release},
-		memmodel.Site{Name: SiteWriteLockFSub, Class: memmodel.OpRMW, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteWriteUndoFAdd, Class: memmodel.OpRMW, Default: memmodel.Relaxed},
-		memmodel.Site{Name: SiteWriteSpinLoad, Class: memmodel.OpLoad, Default: memmodel.Relaxed},
-		memmodel.Site{Name: SiteWriteUnlockFAdd, Class: memmodel.OpRMW, Default: memmodel.Release},
-		memmodel.Site{Name: SiteReadTryFSub, Class: memmodel.OpRMW, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteWriteTryFSub, Class: memmodel.OpRMW, Default: memmodel.Acquire},
-	)
+func DefaultOrders() *memmodel.OrderTable { return memmodel.NewOrderTable(sites[:]...) }
+
+// names are the location and method names of one instance.
+type names struct {
+	lock, readLock, readUnlock, writeLock, writeUnlock, readTrylock, writeTrylock string
 }
+
+var instNames = core.NewNames(func(inst string) names {
+	return names{
+		lock:         inst + ".lock",
+		readLock:     inst + ".read_lock",
+		readUnlock:   inst + ".read_unlock",
+		writeLock:    inst + ".write_lock",
+		writeUnlock:  inst + ".write_unlock",
+		readTrylock:  inst + ".read_trylock",
+		writeTrylock: inst + ".write_trylock",
+	}
+})
 
 // RWLock is the simulated Linux reader-writer spinlock.
 type RWLock struct {
-	name string
-	ord  *memmodel.OrderTable
+	names *names
+	// ord holds the interned orders, indexed by site constant.
+	ord  []memmodel.MemOrder
 	mon  *core.Monitor
 	lock *checker.Atomic
 }
@@ -66,30 +107,31 @@ type RWLock struct {
 // New builds a free lock (counter at Bias).
 func New(t *checker.Thread, name string, ord *memmodel.OrderTable) *RWLock {
 	if ord == nil {
-		ord = DefaultOrders()
+		ord = defaultOrders
 	}
+	nm := instNames.Of(name)
 	return &RWLock{
-		name: name,
-		ord:  ord,
-		mon:  core.Of(t),
-		lock: t.NewAtomicInit(name+".lock", Bias),
+		names: nm,
+		ord:   ord.Intern(sites[:]),
+		mon:   core.Of(t),
+		lock:  t.NewAtomicInit(nm.lock, Bias),
 	}
 }
 
 // ReadLock blocks until a read lock is held.
 func (l *RWLock) ReadLock(t *checker.Thread) {
-	c := l.mon.Begin(t, l.name+".read_lock")
+	c := l.mon.Begin(t, l.names.readLock)
 	for {
-		prior := l.lock.FetchSub(t, l.ord.Get(SiteReadLockFSub), 1)
+		prior := l.lock.FetchSub(t, l.ord[siteReadLockFSub], 1)
 		c.OPClearDefine(t, true) // the successful subtract
 		if int64(prior) > 0 {
 			c.EndVoid(t)
 			return
 		}
 		// Undo and wait for the writer to leave.
-		l.lock.FetchAdd(t, l.ord.Get(SiteReadUndoFAdd), 1)
+		l.lock.FetchAdd(t, l.ord[siteReadUndoFAdd], 1)
 		for {
-			v := l.lock.Load(t, l.ord.Get(SiteReadSpinLoad))
+			v := l.lock.Load(t, l.ord[siteReadSpinLoad])
 			if int64(v) > 0 {
 				break
 			}
@@ -100,25 +142,25 @@ func (l *RWLock) ReadLock(t *checker.Thread) {
 
 // ReadUnlock releases a read lock.
 func (l *RWLock) ReadUnlock(t *checker.Thread) {
-	c := l.mon.Begin(t, l.name+".read_unlock")
-	l.lock.FetchAdd(t, l.ord.Get(SiteReadUnlockFAdd), 1)
+	c := l.mon.Begin(t, l.names.readUnlock)
+	l.lock.FetchAdd(t, l.ord[siteReadUnlockFAdd], 1)
 	c.OPDefine(t, true)
 	c.EndVoid(t)
 }
 
 // WriteLock blocks until the exclusive lock is held.
 func (l *RWLock) WriteLock(t *checker.Thread) {
-	c := l.mon.Begin(t, l.name+".write_lock")
+	c := l.mon.Begin(t, l.names.writeLock)
 	for {
-		prior := l.lock.FetchSub(t, l.ord.Get(SiteWriteLockFSub), Bias)
+		prior := l.lock.FetchSub(t, l.ord[siteWriteLockFSub], Bias)
 		c.OPClearDefine(t, true)
 		if prior == Bias {
 			c.EndVoid(t)
 			return
 		}
-		l.lock.FetchAdd(t, l.ord.Get(SiteWriteUndoFAdd), Bias)
+		l.lock.FetchAdd(t, l.ord[siteWriteUndoFAdd], Bias)
 		for {
-			v := l.lock.Load(t, l.ord.Get(SiteWriteSpinLoad))
+			v := l.lock.Load(t, l.ord[siteWriteSpinLoad])
 			if v == Bias {
 				break
 			}
@@ -129,22 +171,22 @@ func (l *RWLock) WriteLock(t *checker.Thread) {
 
 // WriteUnlock releases the exclusive lock.
 func (l *RWLock) WriteUnlock(t *checker.Thread) {
-	c := l.mon.Begin(t, l.name+".write_unlock")
-	l.lock.FetchAdd(t, l.ord.Get(SiteWriteUnlockFAdd), Bias)
+	c := l.mon.Begin(t, l.names.writeUnlock)
+	l.lock.FetchAdd(t, l.ord[siteWriteUnlockFAdd], Bias)
 	c.OPDefine(t, true)
 	c.EndVoid(t)
 }
 
 // ReadTryLock attempts a read lock without blocking; 1 = acquired.
 func (l *RWLock) ReadTryLock(t *checker.Thread) memmodel.Value {
-	c := l.mon.Begin(t, l.name+".read_trylock")
-	prior := l.lock.FetchSub(t, l.ord.Get(SiteReadTryFSub), 1)
+	c := l.mon.Begin(t, l.names.readTrylock)
+	prior := l.lock.FetchSub(t, l.ord[siteReadTryFSub], 1)
 	c.OPDefine(t, true)
 	if int64(prior) > 0 {
 		c.End(t, 1)
 		return 1
 	}
-	l.lock.FetchAdd(t, l.ord.Get(SiteReadUndoFAdd), 1)
+	l.lock.FetchAdd(t, l.ord[siteReadUndoFAdd], 1)
 	c.End(t, 0)
 	return 0
 }
@@ -153,14 +195,14 @@ func (l *RWLock) ReadTryLock(t *checker.Thread) memmodel.Value {
 // It has the §6.1 transient side effect: the bias is subtracted and
 // restored on failure, so concurrent attempts can make each other fail.
 func (l *RWLock) WriteTryLock(t *checker.Thread) memmodel.Value {
-	c := l.mon.Begin(t, l.name+".write_trylock")
-	prior := l.lock.FetchSub(t, l.ord.Get(SiteWriteTryFSub), Bias)
+	c := l.mon.Begin(t, l.names.writeTrylock)
+	prior := l.lock.FetchSub(t, l.ord[siteWriteTryFSub], Bias)
 	c.OPDefine(t, true)
 	if prior == Bias {
 		c.End(t, 1)
 		return 1
 	}
-	l.lock.FetchAdd(t, l.ord.Get(SiteWriteUndoFAdd), Bias)
+	l.lock.FetchAdd(t, l.ord[siteWriteUndoFAdd], Bias)
 	c.End(t, 0)
 	return 0
 }

@@ -31,29 +31,62 @@ const (
 	SiteGet2LoadVal = "get2_load_value"
 )
 
+// Site indices: positions in sites, and in an instance's interned
+// orders.
+const (
+	sitePutStoreKey = iota
+	sitePutStoreVal
+	siteGetLoadKey
+	siteGetLoadVal
+	siteGet2LoadKey
+	siteGet2LoadVal
+	numSites
+)
+
+// sites declares the memory-order sites (DefaultOrders documents the
+// choices). Every table built from it shares it as its declaration,
+// which lets New intern a table's orders without a lookup.
+var sites = [numSites]memmodel.Site{
+	sitePutStoreKey: {Name: SitePutStoreKey, Class: memmodel.OpStore, Default: memmodel.SeqCst},
+	sitePutStoreVal: {Name: SitePutStoreVal, Class: memmodel.OpStore, Default: memmodel.SeqCst},
+	siteGetLoadKey:  {Name: SiteGetLoadKey, Class: memmodel.OpLoad, Default: memmodel.SeqCst},
+	siteGetLoadVal:  {Name: SiteGetLoadVal, Class: memmodel.OpLoad, Default: memmodel.SeqCst},
+	siteGet2LoadKey: {Name: SiteGet2LoadKey, Class: memmodel.OpLoad, Default: memmodel.Relaxed},
+	siteGet2LoadVal: {Name: SiteGet2LoadVal, Class: memmodel.OpLoad, Default: memmodel.Relaxed},
+}
+
+// defaultOrders backs New when no table is given; it is never
+// modified.
+var defaultOrders = DefaultOrders()
+
 // DefaultOrders returns the correct orders: seq_cst on the lock-free
 // fast path (put's stores and get's first search); the under-lock second
 // search is relaxed because the segment mutex already orders it.
-func DefaultOrders() *memmodel.OrderTable {
-	return memmodel.NewOrderTable(
-		memmodel.Site{Name: SitePutStoreKey, Class: memmodel.OpStore, Default: memmodel.SeqCst},
-		memmodel.Site{Name: SitePutStoreVal, Class: memmodel.OpStore, Default: memmodel.SeqCst},
-		memmodel.Site{Name: SiteGetLoadKey, Class: memmodel.OpLoad, Default: memmodel.SeqCst},
-		memmodel.Site{Name: SiteGetLoadVal, Class: memmodel.OpLoad, Default: memmodel.SeqCst},
-		memmodel.Site{Name: SiteGet2LoadKey, Class: memmodel.OpLoad, Default: memmodel.Relaxed},
-		memmodel.Site{Name: SiteGet2LoadVal, Class: memmodel.OpLoad, Default: memmodel.Relaxed},
-	)
-}
+func DefaultOrders() *memmodel.OrderTable { return memmodel.NewOrderTable(sites[:]...) }
 
 type slot struct {
 	key, val *checker.Atomic
 }
 
+// names are the location and method names of one instance.
+type names struct{ key, val, seg, put, get string }
+
+var instNames = core.NewNames(func(inst string) names {
+	return names{
+		key: inst + ".key",
+		val: inst + ".val",
+		seg: inst + ".seg",
+		put: inst + ".put",
+		get: inst + ".get",
+	}
+})
+
 // Table is the simulated hashtable with one segment per bucket pair.
 type Table struct {
-	name string
-	ord  *memmodel.OrderTable
-	mon  *core.Monitor
+	names *names
+	// ord holds the interned orders, indexed by site constant.
+	ord []memmodel.MemOrder
+	mon *core.Monitor
 
 	slots []slot
 	locks []*checker.Mutex
@@ -62,18 +95,19 @@ type Table struct {
 // New builds a table with n slots (n per segment lock of 2).
 func New(t *checker.Thread, name string, ord *memmodel.OrderTable, n int) *Table {
 	if ord == nil {
-		ord = DefaultOrders()
+		ord = defaultOrders
 	}
-	tbl := &Table{name: name, ord: ord, mon: core.Of(t)}
+	nm := instNames.Of(name)
+	tbl := &Table{names: nm, ord: ord.Intern(sites[:]), mon: core.Of(t)}
 	for i := 0; i < n; i++ {
 		tbl.slots = append(tbl.slots, slot{
-			key: t.NewAtomicInit(name+".key", 0),
-			val: t.NewAtomicInit(name+".val", 0),
+			key: t.NewAtomicInit(nm.key, 0),
+			val: t.NewAtomicInit(nm.val, 0),
 		})
 	}
 	nseg := (n + 1) / 2
 	for i := 0; i < nseg; i++ {
-		tbl.locks = append(tbl.locks, t.NewMutex(name+".seg"))
+		tbl.locks = append(tbl.locks, t.NewMutex(nm.seg))
 	}
 	return tbl
 }
@@ -84,7 +118,7 @@ func (tbl *Table) segment(key memmodel.Value) *checker.Mutex {
 
 // Put inserts or updates key (nonzero) with val under the segment lock.
 func (tbl *Table) Put(t *checker.Thread, key, val memmodel.Value) {
-	c := tbl.mon.Begin(t, tbl.name+".put", key, val)
+	c := tbl.mon.Begin(t, tbl.names.put, key, val)
 	m := tbl.segment(key)
 	m.Lock(t)
 	start := int(key) % len(tbl.slots)
@@ -92,11 +126,11 @@ func (tbl *Table) Put(t *checker.Thread, key, val memmodel.Value) {
 		s := tbl.slots[(start+i)%len(tbl.slots)]
 		k := s.key.Load(t, memmodel.Acquire)
 		if k == 0 {
-			s.key.Store(t, tbl.ord.Get(SitePutStoreKey), key)
+			s.key.Store(t, tbl.ord[sitePutStoreKey], key)
 			k = key
 		}
 		if k == key {
-			s.val.Store(t, tbl.ord.Get(SitePutStoreVal), val)
+			s.val.Store(t, tbl.ord[sitePutStoreVal], val)
 			c.OPDefine(t, true) // the seq_cst value store
 			m.Unlock(t)
 			c.OPDefine(t, true) // the segment unlock (lock-path ordering)
@@ -111,13 +145,13 @@ func (tbl *Table) Put(t *checker.Thread, key, val memmodel.Value) {
 // Get returns the value for key, or NotFound. It probes lock-free first;
 // on a miss it takes the segment lock and searches again.
 func (tbl *Table) Get(t *checker.Thread, key memmodel.Value) memmodel.Value {
-	c := tbl.mon.Begin(t, tbl.name+".get", key)
+	c := tbl.mon.Begin(t, tbl.names.get, key)
 	start := int(key) % len(tbl.slots)
 	for i := 0; i < len(tbl.slots); i++ {
 		s := tbl.slots[(start+i)%len(tbl.slots)]
-		k := s.key.Load(t, tbl.ord.Get(SiteGetLoadKey))
+		k := s.key.Load(t, tbl.ord[siteGetLoadKey])
 		if k == key {
-			v := s.val.Load(t, tbl.ord.Get(SiteGetLoadVal))
+			v := s.val.Load(t, tbl.ord[siteGetLoadVal])
 			if v != 0 {
 				c.OPDefine(t, true) // the seq_cst value load (sc edge to put)
 				c.End(t, v)
@@ -135,9 +169,9 @@ func (tbl *Table) Get(t *checker.Thread, key memmodel.Value) memmodel.Value {
 	var v memmodel.Value
 	for i := 0; i < len(tbl.slots); i++ {
 		s := tbl.slots[(start+i)%len(tbl.slots)]
-		k := s.key.Load(t, tbl.ord.Get(SiteGet2LoadKey))
+		k := s.key.Load(t, tbl.ord[siteGet2LoadKey])
 		if k == key {
-			v = s.val.Load(t, tbl.ord.Get(SiteGet2LoadVal))
+			v = s.val.Load(t, tbl.ord[siteGet2LoadVal])
 			break
 		}
 		if k == 0 {

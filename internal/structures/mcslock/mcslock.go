@@ -25,28 +25,61 @@ const (
 	SiteUnlockStoreLock = "unlock_store_locked"
 )
 
-// DefaultOrders returns the correct orders.
-func DefaultOrders() *memmodel.OrderTable {
-	return memmodel.NewOrderTable(
-		memmodel.Site{Name: SiteLockXchgTail, Class: memmodel.OpRMW, Default: memmodel.AcqRel},
-		memmodel.Site{Name: SiteLockStoreNext, Class: memmodel.OpStore, Default: memmodel.Release},
-		memmodel.Site{Name: SiteLockSpinLocked, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteUnlockLoadNext, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteUnlockCASTail, Class: memmodel.OpRMW, Default: memmodel.Release},
-		memmodel.Site{Name: SiteUnlockStoreLock, Class: memmodel.OpStore, Default: memmodel.Release},
-	)
+// Site indices: positions in sites, and in an instance's interned
+// orders.
+const (
+	siteLockXchgTail = iota
+	siteLockStoreNext
+	siteLockSpinLocked
+	siteUnlockLoadNext
+	siteUnlockCASTail
+	siteUnlockStoreLock
+	numSites
+)
+
+// sites declares the memory-order sites (DefaultOrders documents the
+// choices). Every table built from it shares it as its declaration,
+// which lets New intern a table's orders without a lookup.
+var sites = [numSites]memmodel.Site{
+	siteLockXchgTail:    {Name: SiteLockXchgTail, Class: memmodel.OpRMW, Default: memmodel.AcqRel},
+	siteLockStoreNext:   {Name: SiteLockStoreNext, Class: memmodel.OpStore, Default: memmodel.Release},
+	siteLockSpinLocked:  {Name: SiteLockSpinLocked, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteUnlockLoadNext:  {Name: SiteUnlockLoadNext, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteUnlockCASTail:   {Name: SiteUnlockCASTail, Class: memmodel.OpRMW, Default: memmodel.Release},
+	siteUnlockStoreLock: {Name: SiteUnlockStoreLock, Class: memmodel.OpStore, Default: memmodel.Release},
 }
+
+// defaultOrders backs New when no table is given; it is never
+// modified.
+var defaultOrders = DefaultOrders()
+
+// DefaultOrders returns the correct orders.
+func DefaultOrders() *memmodel.OrderTable { return memmodel.NewOrderTable(sites[:]...) }
 
 type qnode struct {
 	next   *checker.Atomic
 	locked *checker.Atomic
 }
 
+// names are the location and method names of one instance.
+type names struct{ tail, next, locked, lock, unlock string }
+
+var instNames = core.NewNames(func(inst string) names {
+	return names{
+		tail:   inst + ".tail",
+		next:   inst + ".next",
+		locked: inst + ".locked",
+		lock:   inst + ".lock",
+		unlock: inst + ".unlock",
+	}
+})
+
 // Lock is the simulated MCS lock.
 type Lock struct {
-	name string
-	ord  *memmodel.OrderTable
-	mon  *core.Monitor
+	names *names
+	// ord holds the interned orders, indexed by site constant.
+	ord []memmodel.MemOrder
+	mon *core.Monitor
 
 	tail    *checker.Atomic
 	nodes   []*qnode
@@ -56,13 +89,14 @@ type Lock struct {
 // New builds a free MCS lock.
 func New(t *checker.Thread, name string, ord *memmodel.OrderTable) *Lock {
 	if ord == nil {
-		ord = DefaultOrders()
+		ord = defaultOrders
 	}
+	nm := instNames.Of(name)
 	l := &Lock{
-		name:    name,
-		ord:     ord,
+		names:   nm,
+		ord:     ord.Intern(sites[:]),
 		mon:     core.Of(t),
-		tail:    t.NewAtomicInit(name+".tail", 0),
+		tail:    t.NewAtomicInit(nm.tail, 0),
 		holding: map[int]memmodel.Value{},
 	}
 	l.nodes = append(l.nodes, nil) // handle 0 = none
@@ -76,25 +110,25 @@ func (l *Lock) newNode(t *checker.Thread) memmodel.Value {
 	h := memmodel.Value(len(l.nodes))
 	n := &qnode{}
 	l.nodes = append(l.nodes, n)
-	n.next = t.NewAtomicInit(l.name+".next", 0)
-	n.locked = t.NewAtomicInit(l.name+".locked", 1)
+	n.next = t.NewAtomicInit(l.names.next, 0)
+	n.locked = t.NewAtomicInit(l.names.locked, 1)
 	return h
 }
 
 // Lock acquires the lock.
 func (l *Lock) Lock(t *checker.Thread) {
-	c := l.mon.Begin(t, l.name+".lock")
+	c := l.mon.Begin(t, l.names.lock)
 	me := l.newNode(t)
 	l.holding[t.ID()] = me
-	pred := l.tail.Exchange(t, l.ord.Get(SiteLockXchgTail), me)
+	pred := l.tail.Exchange(t, l.ord[siteLockXchgTail], me)
 	if pred == 0 {
 		c.OPDefine(t, true) // uncontended: the exchange acquires
 		c.EndVoid(t)
 		return
 	}
-	l.nodes[pred].next.Store(t, l.ord.Get(SiteLockStoreNext), me)
+	l.nodes[pred].next.Store(t, l.ord[siteLockStoreNext], me)
 	for {
-		if l.nodes[me].locked.Load(t, l.ord.Get(SiteLockSpinLocked)) == 0 {
+		if l.nodes[me].locked.Load(t, l.ord[siteLockSpinLocked]) == 0 {
 			c.OPDefine(t, true) // the handoff read
 			c.EndVoid(t)
 			return
@@ -105,25 +139,25 @@ func (l *Lock) Lock(t *checker.Thread) {
 
 // Unlock releases the lock.
 func (l *Lock) Unlock(t *checker.Thread) {
-	c := l.mon.Begin(t, l.name+".unlock")
+	c := l.mon.Begin(t, l.names.unlock)
 	me := l.holding[t.ID()]
-	next := l.nodes[me].next.Load(t, l.ord.Get(SiteUnlockLoadNext))
+	next := l.nodes[me].next.Load(t, l.ord[siteUnlockLoadNext])
 	if next == 0 {
-		if _, ok := l.tail.CAS(t, me, 0, l.ord.Get(SiteUnlockCASTail), memmodel.Relaxed); ok {
+		if _, ok := l.tail.CAS(t, me, 0, l.ord[siteUnlockCASTail], memmodel.Relaxed); ok {
 			c.OPDefine(t, true) // released to empty: the tail CAS
 			c.EndVoid(t)
 			return
 		}
 		// A successor is linking itself: wait for the link.
 		for {
-			next = l.nodes[me].next.Load(t, l.ord.Get(SiteUnlockLoadNext))
+			next = l.nodes[me].next.Load(t, l.ord[siteUnlockLoadNext])
 			if next != 0 {
 				break
 			}
 			t.Yield()
 		}
 	}
-	l.nodes[next].locked.Store(t, l.ord.Get(SiteUnlockStoreLock), 0)
+	l.nodes[next].locked.Store(t, l.ord[siteUnlockStoreLock], 0)
 	c.OPDefine(t, true) // the handoff store
 	c.EndVoid(t)
 }

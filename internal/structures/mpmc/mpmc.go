@@ -34,34 +34,70 @@ const (
 	SiteDeqStoreSeq  = "deq_store_seq"
 )
 
+// Site indices: positions in sites, and in an instance's interned
+// orders.
+const (
+	siteEnqFAddPos = iota
+	siteEnqLoadSeq
+	siteEnqStoreData
+	siteEnqStoreSeq
+	siteDeqFAddPos
+	siteDeqLoadSeq
+	siteDeqLoadData
+	siteDeqStoreSeq
+	numSites
+)
+
+// sites declares the memory-order sites (DefaultOrders documents the
+// choices). Every table built from it shares it as its declaration,
+// which lets New intern a table's orders without a lookup.
+var sites = [numSites]memmodel.Site{
+	siteEnqFAddPos:   {Name: SiteEnqFAddPos, Class: memmodel.OpRMW, Default: memmodel.SeqCst},
+	siteEnqLoadSeq:   {Name: SiteEnqLoadSeq, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteEnqStoreData: {Name: SiteEnqStoreData, Class: memmodel.OpStore, Default: memmodel.Release},
+	siteEnqStoreSeq:  {Name: SiteEnqStoreSeq, Class: memmodel.OpStore, Default: memmodel.Release},
+	siteDeqFAddPos:   {Name: SiteDeqFAddPos, Class: memmodel.OpRMW, Default: memmodel.SeqCst},
+	siteDeqLoadSeq:   {Name: SiteDeqLoadSeq, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteDeqLoadData:  {Name: SiteDeqLoadData, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteDeqStoreSeq:  {Name: SiteDeqStoreSeq, Class: memmodel.OpStore, Default: memmodel.Release},
+}
+
+// defaultOrders backs New when no table is given; it is never
+// modified.
+var defaultOrders = DefaultOrders()
+
 // DefaultOrders returns the benchmark's orders. The seq_cst ticket
 // counters and the release/acquire data accesses are stronger than the
 // unit tests can observe (rollover protection and redundancy with the
 // sequence handoff, respectively); the sequence loads and stores carry
 // the synchronization clients actually rely on.
-func DefaultOrders() *memmodel.OrderTable {
-	return memmodel.NewOrderTable(
-		memmodel.Site{Name: SiteEnqFAddPos, Class: memmodel.OpRMW, Default: memmodel.SeqCst},
-		memmodel.Site{Name: SiteEnqLoadSeq, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteEnqStoreData, Class: memmodel.OpStore, Default: memmodel.Release},
-		memmodel.Site{Name: SiteEnqStoreSeq, Class: memmodel.OpStore, Default: memmodel.Release},
-		memmodel.Site{Name: SiteDeqFAddPos, Class: memmodel.OpRMW, Default: memmodel.SeqCst},
-		memmodel.Site{Name: SiteDeqLoadSeq, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteDeqLoadData, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteDeqStoreSeq, Class: memmodel.OpStore, Default: memmodel.Release},
-	)
-}
+func DefaultOrders() *memmodel.OrderTable { return memmodel.NewOrderTable(sites[:]...) }
 
 type slot struct {
 	seq  *checker.Atomic
 	data *checker.Atomic
 }
 
+// names are the location and method names of one instance.
+type names struct{ enqPos, deqPos, seq, data, enq, deq string }
+
+var instNames = core.NewNames(func(inst string) names {
+	return names{
+		enqPos: inst + ".enqPos",
+		deqPos: inst + ".deqPos",
+		seq:    inst + ".seq",
+		data:   inst + ".data",
+		enq:    inst + ".enq",
+		deq:    inst + ".deq",
+	}
+})
+
 // Queue is the simulated bounded MPMC queue.
 type Queue struct {
-	name string
-	ord  *memmodel.OrderTable
-	mon  *core.Monitor
+	names *names
+	// ord holds the interned orders, indexed by site constant.
+	ord []memmodel.MemOrder
+	mon *core.Monitor
 
 	slots  []slot
 	enqPos *checker.Atomic
@@ -71,19 +107,20 @@ type Queue struct {
 // New builds a queue with the given capacity.
 func New(t *checker.Thread, name string, ord *memmodel.OrderTable, capacity int) *Queue {
 	if ord == nil {
-		ord = DefaultOrders()
+		ord = defaultOrders
 	}
+	nm := instNames.Of(name)
 	q := &Queue{
-		name:   name,
-		ord:    ord,
+		names:  nm,
+		ord:    ord.Intern(sites[:]),
 		mon:    core.Of(t),
-		enqPos: t.NewAtomicInit(name+".enqPos", 0),
-		deqPos: t.NewAtomicInit(name+".deqPos", 0),
+		enqPos: t.NewAtomicInit(nm.enqPos, 0),
+		deqPos: t.NewAtomicInit(nm.deqPos, 0),
 	}
 	for i := 0; i < capacity; i++ {
 		q.slots = append(q.slots, slot{
-			seq:  t.NewAtomicInit(name+".seq", memmodel.Value(i)),
-			data: t.NewAtomicInit(name+".data", 0),
+			seq:  t.NewAtomicInit(nm.seq, memmodel.Value(i)),
+			data: t.NewAtomicInit(nm.data, 0),
 		})
 	}
 	return q
@@ -91,38 +128,38 @@ func New(t *checker.Thread, name string, ord *memmodel.OrderTable, capacity int)
 
 // Enq appends val, blocking while the queue is full.
 func (q *Queue) Enq(t *checker.Thread, val memmodel.Value) {
-	c := q.mon.Begin(t, q.name+".enq", val)
-	pos := q.enqPos.FetchAdd(t, q.ord.Get(SiteEnqFAddPos), 1)
+	c := q.mon.Begin(t, q.names.enq, val)
+	pos := q.enqPos.FetchAdd(t, q.ord[siteEnqFAddPos], 1)
 	c.SetAux("pos", pos)
 	s := q.slots[int(pos)%len(q.slots)]
 	for {
-		if s.seq.Load(t, q.ord.Get(SiteEnqLoadSeq)) == pos {
+		if s.seq.Load(t, q.ord[siteEnqLoadSeq]) == pos {
 			break
 		}
 		t.Yield() // slot still owned by an earlier epoch
 	}
 	c.OPDefine(t, true) // the slot-acquisition sequence load
-	s.data.Store(t, q.ord.Get(SiteEnqStoreData), val)
-	s.seq.Store(t, q.ord.Get(SiteEnqStoreSeq), pos+1)
+	s.data.Store(t, q.ord[siteEnqStoreData], val)
+	s.seq.Store(t, q.ord[siteEnqStoreSeq], pos+1)
 	c.OPDefine(t, true) // the publishing sequence store
 	c.EndVoid(t)
 }
 
 // Deq removes and returns the oldest element, blocking while empty.
 func (q *Queue) Deq(t *checker.Thread) memmodel.Value {
-	c := q.mon.Begin(t, q.name+".deq")
-	pos := q.deqPos.FetchAdd(t, q.ord.Get(SiteDeqFAddPos), 1)
+	c := q.mon.Begin(t, q.names.deq)
+	pos := q.deqPos.FetchAdd(t, q.ord[siteDeqFAddPos], 1)
 	c.SetAux("pos", pos)
 	s := q.slots[int(pos)%len(q.slots)]
 	for {
-		if s.seq.Load(t, q.ord.Get(SiteDeqLoadSeq)) == pos+1 {
+		if s.seq.Load(t, q.ord[siteDeqLoadSeq]) == pos+1 {
 			break
 		}
 		t.Yield() // the producer has not published yet
 	}
 	c.OPDefine(t, true) // the successful sequence load
-	v := s.data.Load(t, q.ord.Get(SiteDeqLoadData))
-	s.seq.Store(t, q.ord.Get(SiteDeqStoreSeq), pos+memmodel.Value(len(q.slots)))
+	v := s.data.Load(t, q.ord[siteDeqLoadData])
+	s.seq.Store(t, q.ord[siteDeqStoreSeq], pos+memmodel.Value(len(q.slots)))
 	c.OPDefine(t, true) // the slot-release sequence store
 	c.End(t, v)
 	return v

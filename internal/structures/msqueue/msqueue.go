@@ -38,26 +38,49 @@ const (
 	SiteDeqHelpCASTail = "deq_help_cas_tail"
 )
 
+// Site indices: positions in sites, and in an instance's interned
+// orders.
+const (
+	siteEnqLoadTail = iota
+	siteEnqLoadNext
+	siteEnqCASNext
+	siteEnqCASTail
+	siteEnqHelpCASTail
+	siteDeqLoadHead
+	siteDeqLoadTail
+	siteDeqLoadNext
+	siteDeqCASHead
+	siteDeqHelpCASTail
+	numSites
+)
+
+// sites declares the memory-order sites (DefaultOrders documents the
+// choices). Every table built from it shares it as its declaration,
+// which lets New intern a table's orders without a lookup.
+var sites = [numSites]memmodel.Site{
+	siteEnqLoadTail:    {Name: SiteEnqLoadTail, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteEnqLoadNext:    {Name: SiteEnqLoadNext, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteEnqCASNext:     {Name: SiteEnqCASNext, Class: memmodel.OpRMW, Default: memmodel.Release},
+	siteEnqCASTail:     {Name: SiteEnqCASTail, Class: memmodel.OpRMW, Default: memmodel.Release},
+	siteEnqHelpCASTail: {Name: SiteEnqHelpCASTail, Class: memmodel.OpRMW, Default: memmodel.Relaxed},
+	siteDeqLoadHead:    {Name: SiteDeqLoadHead, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteDeqLoadTail:    {Name: SiteDeqLoadTail, Class: memmodel.OpLoad, Default: memmodel.Relaxed},
+	siteDeqLoadNext:    {Name: SiteDeqLoadNext, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteDeqCASHead:     {Name: SiteDeqCASHead, Class: memmodel.OpRMW, Default: memmodel.Release},
+	siteDeqHelpCASTail: {Name: SiteDeqHelpCASTail, Class: memmodel.OpRMW, Default: memmodel.Relaxed},
+}
+
+// defaultOrders backs New when no table is given; it is never
+// modified.
+var defaultOrders = DefaultOrders()
+
 // DefaultOrders returns the correct minimal memory orders: acquire on
 // every pointer load that dereferences a node, release on every CAS that
 // publishes one, and relaxed where the value is only a hint (the deq-side
 // tail load, which is never dereferenced, and the lagging-tail helping
 // CASes — the next-CAS is the real publication). Relaxed sites cannot be
 // weakened further, so the injection set is the seven load-bearing sites.
-func DefaultOrders() *memmodel.OrderTable {
-	return memmodel.NewOrderTable(
-		memmodel.Site{Name: SiteEnqLoadTail, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteEnqLoadNext, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteEnqCASNext, Class: memmodel.OpRMW, Default: memmodel.Release},
-		memmodel.Site{Name: SiteEnqCASTail, Class: memmodel.OpRMW, Default: memmodel.Release},
-		memmodel.Site{Name: SiteEnqHelpCASTail, Class: memmodel.OpRMW, Default: memmodel.Relaxed},
-		memmodel.Site{Name: SiteDeqLoadHead, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteDeqLoadTail, Class: memmodel.OpLoad, Default: memmodel.Relaxed},
-		memmodel.Site{Name: SiteDeqLoadNext, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteDeqCASHead, Class: memmodel.OpRMW, Default: memmodel.Release},
-		memmodel.Site{Name: SiteDeqHelpCASTail, Class: memmodel.OpRMW, Default: memmodel.Relaxed},
-	)
-}
+func DefaultOrders() *memmodel.OrderTable { return memmodel.NewOrderTable(sites[:]...) }
 
 // KnownBugEnqueue is the first §6.4.1 bug: the enqueue-side publication
 // CAS is too weak, so a dequeuer can reach a node whose contents were
@@ -82,11 +105,26 @@ type node struct {
 	data *checker.Plain
 }
 
+// names are the location and method names of one instance.
+type names struct{ head, tail, next, data, enq, deq string }
+
+var instNames = core.NewNames(func(inst string) names {
+	return names{
+		head: inst + ".head",
+		tail: inst + ".tail",
+		next: inst + ".next",
+		data: inst + ".data",
+		enq:  inst + ".enq",
+		deq:  inst + ".deq",
+	}
+})
+
 // Queue is the simulated Michael & Scott queue.
 type Queue struct {
-	name string
-	ord  *memmodel.OrderTable
-	mon  *core.Monitor
+	names *names
+	// ord holds the interned orders, indexed by site constant.
+	ord []memmodel.MemOrder
+	mon *core.Monitor
 
 	head, tail *checker.Atomic
 	nodes      []*node
@@ -95,13 +133,14 @@ type Queue struct {
 // New builds an empty queue with a dummy node.
 func New(t *checker.Thread, name string, ord *memmodel.OrderTable) *Queue {
 	if ord == nil {
-		ord = DefaultOrders()
+		ord = defaultOrders
 	}
-	q := &Queue{name: name, ord: ord, mon: core.Of(t)}
+	nm := instNames.Of(name)
+	q := &Queue{names: nm, ord: ord.Intern(sites[:]), mon: core.Of(t)}
 	q.nodes = append(q.nodes, nil) // handle 0 = NULL
 	dummy := q.newNode(t, 0)
-	q.head = t.NewAtomicInit(name+".head", dummy)
-	q.tail = t.NewAtomicInit(name+".tail", dummy)
+	q.head = t.NewAtomicInit(nm.head, dummy)
+	q.tail = t.NewAtomicInit(nm.tail, dummy)
 	return q
 }
 
@@ -112,8 +151,8 @@ func (q *Queue) newNode(t *checker.Thread, val memmodel.Value) memmodel.Value {
 	h := memmodel.Value(len(q.nodes))
 	n := &node{}
 	q.nodes = append(q.nodes, n)
-	n.next = t.NewAtomicInit(q.name+".next", 0)
-	n.data = t.NewPlainInit(q.name+".data", val)
+	n.next = t.NewAtomicInit(q.names.next, 0)
+	n.data = t.NewPlainInit(q.names.data, val)
 	return h
 }
 
@@ -121,21 +160,21 @@ func (q *Queue) node(h memmodel.Value) *node { return q.nodes[h] }
 
 // Enq appends val.
 func (q *Queue) Enq(t *checker.Thread, val memmodel.Value) {
-	c := q.mon.Begin(t, q.name+".enq", val)
+	c := q.mon.Begin(t, q.names.enq, val)
 	n := q.newNode(t, val)
 	for {
-		tl := q.tail.Load(t, q.ord.Get(SiteEnqLoadTail))
-		next := q.node(tl).next.Load(t, q.ord.Get(SiteEnqLoadNext))
+		tl := q.tail.Load(t, q.ord[siteEnqLoadTail])
+		next := q.node(tl).next.Load(t, q.ord[siteEnqLoadNext])
 		if next == 0 {
-			if _, ok := q.node(tl).next.CAS(t, 0, n, q.ord.Get(SiteEnqCASNext), memmodel.Relaxed); ok {
+			if _, ok := q.node(tl).next.CAS(t, 0, n, q.ord[siteEnqCASNext], memmodel.Relaxed); ok {
 				c.OPDefine(t, true) // the successful publication CAS
-				q.tail.CAS(t, tl, n, q.ord.Get(SiteEnqCASTail), memmodel.Relaxed)
+				q.tail.CAS(t, tl, n, q.ord[siteEnqCASTail], memmodel.Relaxed)
 				c.EndVoid(t)
 				return
 			}
 		} else {
 			// Help the lagging enqueuer swing the tail.
-			q.tail.CAS(t, tl, next, q.ord.Get(SiteEnqHelpCASTail), memmodel.Relaxed)
+			q.tail.CAS(t, tl, next, q.ord[siteEnqHelpCASTail], memmodel.Relaxed)
 		}
 		t.Yield()
 	}
@@ -143,11 +182,11 @@ func (q *Queue) Enq(t *checker.Thread, val memmodel.Value) {
 
 // Deq removes and returns the oldest element, or Empty.
 func (q *Queue) Deq(t *checker.Thread) memmodel.Value {
-	c := q.mon.Begin(t, q.name+".deq")
+	c := q.mon.Begin(t, q.names.deq)
 	for {
-		h := q.head.Load(t, q.ord.Get(SiteDeqLoadHead))
-		tl := q.tail.Load(t, q.ord.Get(SiteDeqLoadTail))
-		next := q.node(h).next.Load(t, q.ord.Get(SiteDeqLoadNext))
+		h := q.head.Load(t, q.ord[siteDeqLoadHead])
+		tl := q.tail.Load(t, q.ord[siteDeqLoadTail])
+		next := q.node(h).next.Load(t, q.ord[siteDeqLoadNext])
 		c.OPClearDefine(t, true) // the last iteration's next load
 		if h == tl {
 			if next == 0 {
@@ -155,10 +194,10 @@ func (q *Queue) Deq(t *checker.Thread) memmodel.Value {
 				return Empty
 			}
 			// Tail is lagging: help.
-			q.tail.CAS(t, tl, next, q.ord.Get(SiteDeqHelpCASTail), memmodel.Relaxed)
+			q.tail.CAS(t, tl, next, q.ord[siteDeqHelpCASTail], memmodel.Relaxed)
 		} else if next != 0 {
 			v := q.node(next).data.Load(t)
-			if _, ok := q.head.CAS(t, h, next, q.ord.Get(SiteDeqCASHead), memmodel.Relaxed); ok {
+			if _, ok := q.head.CAS(t, h, next, q.ord[siteDeqCASHead], memmodel.Relaxed); ok {
 				c.End(t, v)
 				return v
 			}

@@ -33,26 +33,60 @@ const (
 	SiteSyncLoadCnt = "sync_load_readers"
 )
 
+// Site indices: positions in sites, and in an instance's interned
+// orders.
+const (
+	siteLockFAdd = iota
+	siteLockFence
+	siteLoadPtr
+	siteUnlockFSub
+	siteStorePtr
+	siteWriteFence
+	siteSyncLoadCnt
+	numSites
+)
+
+// sites declares the memory-order sites (DefaultOrders documents the
+// choices). Every table built from it shares it as its declaration,
+// which lets New intern a table's orders without a lookup.
+var sites = [numSites]memmodel.Site{
+	siteLockFAdd:    {Name: SiteLockFAdd, Class: memmodel.OpRMW, Default: memmodel.Relaxed},
+	siteLockFence:   {Name: SiteLockFence, Class: memmodel.OpFence, Default: memmodel.SeqCst},
+	siteLoadPtr:     {Name: SiteLoadPtr, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteUnlockFSub:  {Name: SiteUnlockFSub, Class: memmodel.OpRMW, Default: memmodel.Release},
+	siteStorePtr:    {Name: SiteStorePtr, Class: memmodel.OpStore, Default: memmodel.Release},
+	siteWriteFence:  {Name: SiteWriteFence, Class: memmodel.OpFence, Default: memmodel.SeqCst},
+	siteSyncLoadCnt: {Name: SiteSyncLoadCnt, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+}
+
+// defaultOrders backs New when no table is given; it is never
+// modified.
+var defaultOrders = DefaultOrders()
+
 // DefaultOrders returns the correct orders: relaxed counter RMWs ordered
 // by seq_cst fences, acquire/release on the generation pointer, and an
 // acquire on the grace-period counter poll.
-func DefaultOrders() *memmodel.OrderTable {
-	return memmodel.NewOrderTable(
-		memmodel.Site{Name: SiteLockFAdd, Class: memmodel.OpRMW, Default: memmodel.Relaxed},
-		memmodel.Site{Name: SiteLockFence, Class: memmodel.OpFence, Default: memmodel.SeqCst},
-		memmodel.Site{Name: SiteLoadPtr, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteUnlockFSub, Class: memmodel.OpRMW, Default: memmodel.Release},
-		memmodel.Site{Name: SiteStorePtr, Class: memmodel.OpStore, Default: memmodel.Release},
-		memmodel.Site{Name: SiteWriteFence, Class: memmodel.OpFence, Default: memmodel.SeqCst},
-		memmodel.Site{Name: SiteSyncLoadCnt, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-	)
-}
+func DefaultOrders() *memmodel.OrderTable { return memmodel.NewOrderTable(sites[:]...) }
+
+// names are the location and method names of one instance.
+type names struct{ readers, gen, ptr, read, update string }
+
+var instNames = core.NewNames(func(inst string) names {
+	return names{
+		readers: inst + ".readers",
+		gen:     inst + ".gen",
+		ptr:     inst + ".ptr",
+		read:    inst + ".read",
+		update:  inst + ".update",
+	}
+})
 
 // RCU is the simulated RCU-protected single-pointer structure.
 type RCU struct {
-	name string
-	ord  *memmodel.OrderTable
-	mon  *core.Monitor
+	names *names
+	// ord holds the interned orders, indexed by site constant.
+	ord []memmodel.MemOrder
+	mon *core.Monitor
 
 	ptr     *checker.Atomic
 	readers *checker.Atomic
@@ -62,29 +96,30 @@ type RCU struct {
 // New builds an RCU cell whose generation 0 holds initial.
 func New(t *checker.Thread, name string, ord *memmodel.OrderTable, initial memmodel.Value) *RCU {
 	if ord == nil {
-		ord = DefaultOrders()
+		ord = defaultOrders
 	}
+	nm := instNames.Of(name)
 	r := &RCU{
-		name:    name,
-		ord:     ord,
+		names:   nm,
+		ord:     ord.Intern(sites[:]),
 		mon:     core.Of(t),
-		readers: t.NewAtomicInit(name+".readers", 0),
+		readers: t.NewAtomicInit(nm.readers, 0),
 	}
-	r.gens = append(r.gens, t.NewPlainInit(name+".gen", initial))
-	r.ptr = t.NewAtomicInit(name+".ptr", 0)
+	r.gens = append(r.gens, t.NewPlainInit(nm.gen, initial))
+	r.ptr = t.NewAtomicInit(nm.ptr, 0)
 	return r
 }
 
 // Read is one full read-side critical section: rcu_read_lock, a
 // dereference of the current generation, and rcu_read_unlock.
 func (r *RCU) Read(t *checker.Thread) memmodel.Value {
-	c := r.mon.Begin(t, r.name+".read")
-	r.readers.FetchAdd(t, r.ord.Get(SiteLockFAdd), 1)
-	checker.Fence(t, r.ord.Get(SiteLockFence))
-	g := r.ptr.Load(t, r.ord.Get(SiteLoadPtr))
+	c := r.mon.Begin(t, r.names.read)
+	r.readers.FetchAdd(t, r.ord[siteLockFAdd], 1)
+	checker.Fence(t, r.ord[siteLockFence])
+	g := r.ptr.Load(t, r.ord[siteLoadPtr])
 	c.OPDefine(t, true) // the generation-pointer load
 	v := r.gens[g].Load(t)
-	r.readers.FetchSub(t, r.ord.Get(SiteUnlockFSub), 1)
+	r.readers.FetchSub(t, r.ord[siteUnlockFSub], 1)
 	c.End(t, v)
 	return v
 }
@@ -93,13 +128,13 @@ func (r *RCU) Read(t *checker.Thread) memmodel.Value {
 // and reclaims the previous generation (the synchronize_rcu + free of the
 // C original).
 func (r *RCU) Update(t *checker.Thread, v memmodel.Value) {
-	c := r.mon.Begin(t, r.name+".update", v)
+	c := r.mon.Begin(t, r.names.update, v)
 	old := memmodel.Value(len(r.gens) - 1)
-	r.gens = append(r.gens, t.NewPlainInit(r.name+".gen", v))
-	r.ptr.Store(t, r.ord.Get(SiteStorePtr), old+1)
+	r.gens = append(r.gens, t.NewPlainInit(r.names.gen, v))
+	r.ptr.Store(t, r.ord[siteStorePtr], old+1)
 	c.OPDefine(t, true) // the generation-pointer store
-	checker.Fence(t, r.ord.Get(SiteWriteFence))
-	for r.readers.Load(t, r.ord.Get(SiteSyncLoadCnt)) != 0 {
+	checker.Fence(t, r.ord[siteWriteFence])
+	for r.readers.Load(t, r.ord[siteSyncLoadCnt]) != 0 {
 		t.Yield()
 	}
 	// Grace period over: reclaim the old generation. If a reader can

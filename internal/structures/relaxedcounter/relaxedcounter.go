@@ -23,18 +23,45 @@ const (
 	SiteReadLoad = "read_load"
 )
 
-// DefaultOrders returns the all-relaxed configuration.
-func DefaultOrders() *memmodel.OrderTable {
-	return memmodel.NewOrderTable(
-		memmodel.Site{Name: SiteIncFAdd, Class: memmodel.OpRMW, Default: memmodel.Relaxed},
-		memmodel.Site{Name: SiteReadLoad, Class: memmodel.OpLoad, Default: memmodel.Relaxed},
-	)
+// Site indices: positions in sites, and in an instance's interned
+// orders.
+const (
+	siteIncFAdd = iota
+	siteReadLoad
+	numSites
+)
+
+// sites declares the memory-order sites (DefaultOrders documents the
+// choices). Every table built from it shares it as its declaration,
+// which lets New intern a table's orders without a lookup.
+var sites = [numSites]memmodel.Site{
+	siteIncFAdd:  {Name: SiteIncFAdd, Class: memmodel.OpRMW, Default: memmodel.Relaxed},
+	siteReadLoad: {Name: SiteReadLoad, Class: memmodel.OpLoad, Default: memmodel.Relaxed},
 }
+
+// defaultOrders backs New when no table is given; it is never
+// modified.
+var defaultOrders = DefaultOrders()
+
+// DefaultOrders returns the all-relaxed configuration.
+func DefaultOrders() *memmodel.OrderTable { return memmodel.NewOrderTable(sites[:]...) }
+
+// names are the location and method names of one instance.
+type names struct{ cell, inc, read string }
+
+var instNames = core.NewNames(func(inst string) names {
+	return names{
+		cell: inst + ".cell",
+		inc:  inst + ".inc",
+		read: inst + ".read",
+	}
+})
 
 // Counter is the simulated relaxed counter.
 type Counter struct {
-	name string
-	ord  *memmodel.OrderTable
+	names *names
+	// ord holds the interned orders, indexed by site constant.
+	ord  []memmodel.MemOrder
 	mon  *core.Monitor
 	cell *checker.Atomic
 }
@@ -42,28 +69,29 @@ type Counter struct {
 // New builds a counter at zero.
 func New(t *checker.Thread, name string, ord *memmodel.OrderTable) *Counter {
 	if ord == nil {
-		ord = DefaultOrders()
+		ord = defaultOrders
 	}
+	nm := instNames.Of(name)
 	return &Counter{
-		name: name,
-		ord:  ord,
-		mon:  core.Of(t),
-		cell: t.NewAtomicInit(name+".cell", 0),
+		names: nm,
+		ord:   ord.Intern(sites[:]),
+		mon:   core.Of(t),
+		cell:  t.NewAtomicInit(nm.cell, 0),
 	}
 }
 
 // Inc increments the counter.
 func (c *Counter) Inc(t *checker.Thread) {
-	cc := c.mon.Begin(t, c.name+".inc")
-	c.cell.FetchAdd(t, c.ord.Get(SiteIncFAdd), 1)
+	cc := c.mon.Begin(t, c.names.inc)
+	c.cell.FetchAdd(t, c.ord[siteIncFAdd], 1)
 	cc.OPDefine(t, true) // the RMW
 	cc.EndVoid(t)
 }
 
 // Read returns the current count (possibly stale).
 func (c *Counter) Read(t *checker.Thread) memmodel.Value {
-	cc := c.mon.Begin(t, c.name+".read")
-	v := c.cell.Load(t, c.ord.Get(SiteReadLoad))
+	cc := c.mon.Begin(t, c.names.read)
+	v := c.cell.Load(t, c.ord[siteReadLoad])
 	cc.OPDefine(t, true) // the load
 	cc.End(t, v)
 	return v

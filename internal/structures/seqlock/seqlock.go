@@ -30,28 +30,62 @@ const (
 	SiteReadLoadSeq2  = "read_load_seq2"
 )
 
+// Site indices: positions in sites, and in an instance's interned
+// orders.
+const (
+	siteWriteLoadSeq = iota
+	siteWriteCASSeq
+	siteWriteStoreDat
+	siteWriteStoreSeq
+	siteReadLoadSeq1
+	siteReadLoadData
+	siteReadLoadSeq2
+	numSites
+)
+
+// sites declares the memory-order sites (DefaultOrders documents the
+// choices). Every table built from it shares it as its declaration,
+// which lets New intern a table's orders without a lookup.
+var sites = [numSites]memmodel.Site{
+	siteWriteLoadSeq:  {Name: SiteWriteLoadSeq, Class: memmodel.OpLoad, Default: memmodel.Relaxed},
+	siteWriteCASSeq:   {Name: SiteWriteCASSeq, Class: memmodel.OpRMW, Default: memmodel.AcqRel},
+	siteWriteStoreDat: {Name: SiteWriteStoreDat, Class: memmodel.OpStore, Default: memmodel.Release},
+	siteWriteStoreSeq: {Name: SiteWriteStoreSeq, Class: memmodel.OpStore, Default: memmodel.Release},
+	siteReadLoadSeq1:  {Name: SiteReadLoadSeq1, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteReadLoadData:  {Name: SiteReadLoadData, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteReadLoadSeq2:  {Name: SiteReadLoadSeq2, Class: memmodel.OpLoad, Default: memmodel.Relaxed},
+}
+
+// defaultOrders backs New when no table is given; it is never
+// modified.
+var defaultOrders = DefaultOrders()
+
 // DefaultOrders returns the correct orders of the C11 seqlock: the
 // reader's second sequence load is relaxed by design (ordered by the
 // acquire on the payload loads), and the writer's initial sequence load
 // is a relaxed hint (the acq_rel CAS revalidates it), leaving five
 // injectable sites.
-func DefaultOrders() *memmodel.OrderTable {
-	return memmodel.NewOrderTable(
-		memmodel.Site{Name: SiteWriteLoadSeq, Class: memmodel.OpLoad, Default: memmodel.Relaxed},
-		memmodel.Site{Name: SiteWriteCASSeq, Class: memmodel.OpRMW, Default: memmodel.AcqRel},
-		memmodel.Site{Name: SiteWriteStoreDat, Class: memmodel.OpStore, Default: memmodel.Release},
-		memmodel.Site{Name: SiteWriteStoreSeq, Class: memmodel.OpStore, Default: memmodel.Release},
-		memmodel.Site{Name: SiteReadLoadSeq1, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteReadLoadData, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteReadLoadSeq2, Class: memmodel.OpLoad, Default: memmodel.Relaxed},
-	)
-}
+func DefaultOrders() *memmodel.OrderTable { return memmodel.NewOrderTable(sites[:]...) }
+
+// names are the location and method names of one instance.
+type names struct{ seq, data1, data2, write, read string }
+
+var instNames = core.NewNames(func(inst string) names {
+	return names{
+		seq:   inst + ".seq",
+		data1: inst + ".data1",
+		data2: inst + ".data2",
+		write: inst + ".write",
+		read:  inst + ".read",
+	}
+})
 
 // Seqlock is the simulated sequence lock protecting one data word.
 type Seqlock struct {
-	name string
-	ord  *memmodel.OrderTable
-	mon  *core.Monitor
+	names *names
+	// ord holds the interned orders, indexed by site constant.
+	ord []memmodel.MemOrder
+	mon *core.Monitor
 
 	seq   *checker.Atomic
 	data1 *checker.Atomic
@@ -61,28 +95,29 @@ type Seqlock struct {
 // New builds a seqlock holding value 0 in both words at sequence 0.
 func New(t *checker.Thread, name string, ord *memmodel.OrderTable) *Seqlock {
 	if ord == nil {
-		ord = DefaultOrders()
+		ord = defaultOrders
 	}
+	nm := instNames.Of(name)
 	return &Seqlock{
-		name:  name,
-		ord:   ord,
+		names: nm,
+		ord:   ord.Intern(sites[:]),
 		mon:   core.Of(t),
-		seq:   t.NewAtomicInit(name+".seq", 0),
-		data1: t.NewAtomicInit(name+".data1", 0),
-		data2: t.NewAtomicInit(name+".data2", 0),
+		seq:   t.NewAtomicInit(nm.seq, 0),
+		data1: t.NewAtomicInit(nm.data1, 0),
+		data2: t.NewAtomicInit(nm.data2, 0),
 	}
 }
 
 // Write stores v into both payload words.
 func (s *Seqlock) Write(t *checker.Thread, v memmodel.Value) {
-	c := s.mon.Begin(t, s.name+".write", v)
+	c := s.mon.Begin(t, s.names.write, v)
 	for {
-		seq := s.seq.Load(t, s.ord.Get(SiteWriteLoadSeq))
+		seq := s.seq.Load(t, s.ord[siteWriteLoadSeq])
 		if seq%2 == 0 {
-			if _, ok := s.seq.CAS(t, seq, seq+1, s.ord.Get(SiteWriteCASSeq), memmodel.Relaxed); ok {
-				s.data1.Store(t, s.ord.Get(SiteWriteStoreDat), v)
-				s.data2.Store(t, s.ord.Get(SiteWriteStoreDat), v)
-				s.seq.Store(t, s.ord.Get(SiteWriteStoreSeq), seq+2)
+			if _, ok := s.seq.CAS(t, seq, seq+1, s.ord[siteWriteCASSeq], memmodel.Relaxed); ok {
+				s.data1.Store(t, s.ord[siteWriteStoreDat], v)
+				s.data2.Store(t, s.ord[siteWriteStoreDat], v)
+				s.seq.Store(t, s.ord[siteWriteStoreSeq], seq+2)
 				c.OPDefine(t, true) // the committing sequence store
 				c.EndVoid(t)
 				return
@@ -95,14 +130,14 @@ func (s *Seqlock) Write(t *checker.Thread, v memmodel.Value) {
 // Read returns a consistent snapshot of the payload. The second word is
 // stashed on the call so the specification can check pair consistency.
 func (s *Seqlock) Read(t *checker.Thread) memmodel.Value {
-	c := s.mon.Begin(t, s.name+".read")
+	c := s.mon.Begin(t, s.names.read)
 	for {
-		seq1 := s.seq.Load(t, s.ord.Get(SiteReadLoadSeq1))
+		seq1 := s.seq.Load(t, s.ord[siteReadLoadSeq1])
 		if seq1%2 == 0 {
-			v1 := s.data1.Load(t, s.ord.Get(SiteReadLoadData))
-			v2 := s.data2.Load(t, s.ord.Get(SiteReadLoadData))
+			v1 := s.data1.Load(t, s.ord[siteReadLoadData])
+			v2 := s.data2.Load(t, s.ord[siteReadLoadData])
 			c.OPClearDefine(t, true) // the validated payload read
-			seq2 := s.seq.Load(t, s.ord.Get(SiteReadLoadSeq2))
+			seq2 := s.seq.Load(t, s.ord[siteReadLoadSeq2])
 			if seq1 == seq2 {
 				c.SetAux("v2", v2)
 				c.End(t, v1)

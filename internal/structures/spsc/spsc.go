@@ -21,24 +21,52 @@ const (
 	SiteDeqLoadNext  = "deq_load_next"
 )
 
-// DefaultOrders returns the correct orders.
-func DefaultOrders() *memmodel.OrderTable {
-	return memmodel.NewOrderTable(
-		memmodel.Site{Name: SiteEnqStoreNext, Class: memmodel.OpStore, Default: memmodel.Release},
-		memmodel.Site{Name: SiteDeqLoadNext, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-	)
+// Site indices: positions in sites, and in an instance's interned
+// orders.
+const (
+	siteEnqStoreNext = iota
+	siteDeqLoadNext
+	numSites
+)
+
+// sites declares the memory-order sites (DefaultOrders documents the
+// choices). Every table built from it shares it as its declaration,
+// which lets New intern a table's orders without a lookup.
+var sites = [numSites]memmodel.Site{
+	siteEnqStoreNext: {Name: SiteEnqStoreNext, Class: memmodel.OpStore, Default: memmodel.Release},
+	siteDeqLoadNext:  {Name: SiteDeqLoadNext, Class: memmodel.OpLoad, Default: memmodel.Acquire},
 }
+
+// defaultOrders backs New when no table is given; it is never
+// modified.
+var defaultOrders = DefaultOrders()
+
+// DefaultOrders returns the correct orders.
+func DefaultOrders() *memmodel.OrderTable { return memmodel.NewOrderTable(sites[:]...) }
 
 type node struct {
 	next *checker.Atomic
 	data *checker.Plain
 }
 
+// names are the location and method names of one instance.
+type names struct{ next, data, enq, deq string }
+
+var instNames = core.NewNames(func(inst string) names {
+	return names{
+		next: inst + ".next",
+		data: inst + ".data",
+		enq:  inst + ".enq",
+		deq:  inst + ".deq",
+	}
+})
+
 // Queue is the simulated SPSC queue.
 type Queue struct {
-	name string
-	ord  *memmodel.OrderTable
-	mon  *core.Monitor
+	names *names
+	// ord holds the interned orders, indexed by site constant.
+	ord []memmodel.MemOrder
+	mon *core.Monitor
 
 	nodes []*node
 	// head and tail are thread-private (consumer resp. producer), as in
@@ -49,9 +77,10 @@ type Queue struct {
 // New builds an empty queue with a dummy node.
 func New(t *checker.Thread, name string, ord *memmodel.OrderTable) *Queue {
 	if ord == nil {
-		ord = DefaultOrders()
+		ord = defaultOrders
 	}
-	q := &Queue{name: name, ord: ord, mon: core.Of(t)}
+	nm := instNames.Of(name)
+	q := &Queue{names: nm, ord: ord.Intern(sites[:]), mon: core.Of(t)}
 	q.nodes = append(q.nodes, nil)
 	dummy := q.newNode(t, 0)
 	q.head, q.tail = dummy, dummy
@@ -64,16 +93,16 @@ func (q *Queue) newNode(t *checker.Thread, val memmodel.Value) memmodel.Value {
 	h := memmodel.Value(len(q.nodes))
 	n := &node{}
 	q.nodes = append(q.nodes, n)
-	n.next = t.NewAtomicInit(q.name+".next", 0)
-	n.data = t.NewPlainInit(q.name+".data", val)
+	n.next = t.NewAtomicInit(q.names.next, 0)
+	n.data = t.NewPlainInit(q.names.data, val)
 	return h
 }
 
 // Enq appends val (producer only).
 func (q *Queue) Enq(t *checker.Thread, val memmodel.Value) {
-	c := q.mon.Begin(t, q.name+".enq", val)
+	c := q.mon.Begin(t, q.names.enq, val)
 	n := q.newNode(t, val)
-	q.nodes[q.tail].next.Store(t, q.ord.Get(SiteEnqStoreNext), n)
+	q.nodes[q.tail].next.Store(t, q.ord[siteEnqStoreNext], n)
 	c.OPDefine(t, true) // the publishing next store
 	q.tail = n
 	c.EndVoid(t)
@@ -82,9 +111,9 @@ func (q *Queue) Enq(t *checker.Thread, val memmodel.Value) {
 // Deq blocks until an element is available and returns it (consumer
 // only).
 func (q *Queue) Deq(t *checker.Thread) memmodel.Value {
-	c := q.mon.Begin(t, q.name+".deq")
+	c := q.mon.Begin(t, q.names.deq)
 	for {
-		n := q.nodes[q.head].next.Load(t, q.ord.Get(SiteDeqLoadNext))
+		n := q.nodes[q.head].next.Load(t, q.ord[siteDeqLoadNext])
 		c.OPClearDefine(t, true) // the successful next load
 		if n != 0 {
 			v := q.nodes[n].data.Load(t)

@@ -23,23 +23,52 @@ const (
 	SiteStoreServing = "unlock_store_serving"
 )
 
+// Site indices: positions in sites, and in an instance's interned
+// orders.
+const (
+	siteTakeTicket = iota
+	siteLoadServing
+	siteStoreServing
+	numSites
+)
+
+// sites declares the memory-order sites (DefaultOrders documents the
+// choices). Every table built from it shares it as its declaration,
+// which lets New intern a table's orders without a lookup.
+var sites = [numSites]memmodel.Site{
+	siteTakeTicket:   {Name: SiteTakeTicket, Class: memmodel.OpRMW, Default: memmodel.Relaxed},
+	siteLoadServing:  {Name: SiteLoadServing, Class: memmodel.OpLoad, Default: memmodel.Acquire},
+	siteStoreServing: {Name: SiteStoreServing, Class: memmodel.OpStore, Default: memmodel.Release},
+}
+
+// defaultOrders backs New when no table is given; it is never
+// modified.
+var defaultOrders = DefaultOrders()
+
 // DefaultOrders returns the correct orders. The ticket fetch_add is
 // relaxed by design (terminal, not weakenable), leaving two injectable
 // sites — matching the two injections Figure 8 reports for this
 // benchmark.
-func DefaultOrders() *memmodel.OrderTable {
-	return memmodel.NewOrderTable(
-		memmodel.Site{Name: SiteTakeTicket, Class: memmodel.OpRMW, Default: memmodel.Relaxed},
-		memmodel.Site{Name: SiteLoadServing, Class: memmodel.OpLoad, Default: memmodel.Acquire},
-		memmodel.Site{Name: SiteStoreServing, Class: memmodel.OpStore, Default: memmodel.Release},
-	)
-}
+func DefaultOrders() *memmodel.OrderTable { return memmodel.NewOrderTable(sites[:]...) }
+
+// names are the location and method names of one instance.
+type names struct{ curTicket, nowServing, lock, unlock string }
+
+var instNames = core.NewNames(func(inst string) names {
+	return names{
+		curTicket:  inst + ".curTicket",
+		nowServing: inst + ".nowServing",
+		lock:       inst + ".lock",
+		unlock:     inst + ".unlock",
+	}
+})
 
 // Lock is the simulated ticket lock.
 type Lock struct {
-	name string
-	ord  *memmodel.OrderTable
-	mon  *core.Monitor
+	names *names
+	// ord holds the interned orders, indexed by site constant.
+	ord []memmodel.MemOrder
+	mon *core.Monitor
 
 	curTicket  *checker.Atomic
 	nowServing *checker.Atomic
@@ -52,25 +81,26 @@ type Lock struct {
 // New builds an unlocked ticket lock.
 func New(t *checker.Thread, name string, ord *memmodel.OrderTable) *Lock {
 	if ord == nil {
-		ord = DefaultOrders()
+		ord = defaultOrders
 	}
+	nm := instNames.Of(name)
 	return &Lock{
-		name:       name,
-		ord:        ord,
+		names:      nm,
+		ord:        ord.Intern(sites[:]),
 		mon:        core.Of(t),
-		curTicket:  t.NewAtomicInit(name+".curTicket", 0),
-		nowServing: t.NewAtomicInit(name+".nowServing", 0),
+		curTicket:  t.NewAtomicInit(nm.curTicket, 0),
+		nowServing: t.NewAtomicInit(nm.nowServing, 0),
 		ticket:     map[int]memmodel.Value{},
 	}
 }
 
 // Lock takes a ticket and spins until it is served.
 func (l *Lock) Lock(t *checker.Thread) {
-	c := l.mon.Begin(t, l.name+".lock")
-	ticket := l.curTicket.FetchAdd(t, l.ord.Get(SiteTakeTicket), 1)
+	c := l.mon.Begin(t, l.names.lock)
+	ticket := l.curTicket.FetchAdd(t, l.ord[siteTakeTicket], 1)
 	l.ticket[t.ID()] = ticket
 	for {
-		serving := l.nowServing.Load(t, l.ord.Get(SiteLoadServing))
+		serving := l.nowServing.Load(t, l.ord[siteLoadServing])
 		c.OPClearDefine(t, true) // the successful nowServing read
 		if serving == ticket {
 			c.EndVoid(t)
@@ -82,8 +112,8 @@ func (l *Lock) Lock(t *checker.Thread) {
 
 // Unlock serves the next ticket.
 func (l *Lock) Unlock(t *checker.Thread) {
-	c := l.mon.Begin(t, l.name+".unlock")
-	l.nowServing.Store(t, l.ord.Get(SiteStoreServing), l.ticket[t.ID()]+1)
+	c := l.mon.Begin(t, l.names.unlock)
+	l.nowServing.Store(t, l.ord[siteStoreServing], l.ticket[t.ID()]+1)
 	c.OPDefine(t, true) // the nowServing store
 	c.EndVoid(t)
 }
